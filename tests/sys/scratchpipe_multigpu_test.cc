@@ -114,6 +114,53 @@ TEST(ScratchPipeMultiGpu, HitRateMatchesSingleGpu)
     EXPECT_NEAR(r1.hit_rate, r8.hit_rate, 1e-12);
 }
 
+TEST(ScratchPipeMultiGpu, ResultJsonPinned)
+{
+    // Exact bytes of the 8-GPU run: one case bound by the shared CPU
+    // DRAM, one by [Train], so every stage term feeds a pinned field.
+    const struct
+    {
+        data::Locality locality;
+        const char *json;
+    } cases[] = {
+        {data::Locality::Medium,
+         "{\"system\":\"ScratchPipe multi-GPU\",\"iterations\":5,"
+         "\"seconds_per_iteration\":0.022066864761904764,"
+         "\"breakdown\":{\"Load\":0.00069504761904761901,"
+         "\"Plan\":0.00054560000000000003,"
+         "\"Collect\":0.011435908571428573,"
+         "\"Exchange\":0.0012130959999999999,"
+         "\"Insert\":0.011435908571428573,"
+         "\"Train\":0.014745664221395612},"
+         "\"busy\":{\"iteration_seconds\":0.022066864761904764,"
+         "\"cpu_busy_seconds\":0.022066864761904764,"
+         "\"gpu_busy_seconds\":0.0060483486045067236},"
+         "\"hit_rate\":0.58101440429687501,\"gpu_bytes\":4377326592,"
+         "\"bottleneck\":\"resource:cpu_dram\"}"},
+        {data::Locality::High,
+         "{\"system\":\"ScratchPipe multi-GPU\",\"iterations\":5,"
+         "\"seconds_per_iteration\":0.014668034806679563,"
+         "\"breakdown\":{\"Load\":0.00069504761904761901,"
+         "\"Plan\":0.00054560000000000003,"
+         "\"Collect\":0.0029415605194805195,"
+         "\"Exchange\":0.0006765600000000001,"
+         "\"Insert\":0.0029415605194805195,"
+         "\"Train\":0.014668034806679563},"
+         "\"busy\":{\"iteration_seconds\":0.014668034806679563,"
+         "\"cpu_busy_seconds\":0.0050781686580086581,"
+         "\"gpu_busy_seconds\":0.0048433841908770946},"
+         "\"hit_rate\":0.90645690917968746,\"gpu_bytes\":4377326592,"
+         "\"bottleneck\":\"Train\"}"},
+    };
+    for (const auto &c : cases) {
+        PaperWorkload w(c.locality);
+        ScratchPipeMultiGpuSystem multi(w.model, kHw, defaultOptions());
+        const auto result = multi.simulate(w.dataset, w.stats, w.iters);
+        EXPECT_EQ(result.toJson(), c.json)
+            << data::localityName(c.locality);
+    }
+}
+
 TEST(ScratchPipeMultiGpu, StrawmanModeRejected)
 {
     PaperWorkload w(data::Locality::Medium);
