@@ -18,7 +18,6 @@
 #include "metrics/cost.h"
 #include "metrics/table_printer.h"
 #include "sys/multigpu.h"
-#include "sys/scratchpipe_multigpu.h"
 #include "sys/scratchpipe_sys.h"
 
 using namespace sp;
@@ -50,7 +49,8 @@ main(int argc, char **argv)
         sys::ScratchPipeOptions options;
         options.cache_fraction = 0.10;
         sys::ScratchPipeSystem single(w.model, hw, options);
-        sys::ScratchPipeMultiGpuSystem multi_sp(w.model, hw, options);
+        sys::ScratchPipeSystem multi_sp(w.model, hw, options,
+                                        hw.multi_gpu_count);
         sys::MultiGpuSystem plain_multi(w.model, hw);
 
         const auto r1 = single.simulate(w.dataset(), w.stats(), w.measure,

@@ -296,6 +296,27 @@ ScratchPipeController::worstCaseSlots(uint32_t past_window,
     return static_cast<uint32_t>(batches * ids_per_batch);
 }
 
+uint32_t
+ScratchPipeController::provisionedSlots(double cache_fraction,
+                                        uint64_t rows,
+                                        uint32_t past_window,
+                                        uint32_t future_window,
+                                        size_t ids_per_batch,
+                                        bool enforce_bound)
+{
+    // Written as !(in range) so NaN is rejected before the cast below.
+    fatalIf(!(cache_fraction > 0.0 && cache_fraction <= 1.0),
+            "cache_fraction must be in (0, 1], got ", cache_fraction);
+    uint64_t slots = std::max<uint64_t>(
+        static_cast<uint64_t>(cache_fraction * static_cast<double>(rows)),
+        1);
+    if (enforce_bound) {
+        slots = std::max<uint64_t>(
+            slots, worstCaseSlots(past_window, future_window, ids_per_batch));
+    }
+    return static_cast<uint32_t>(std::min<uint64_t>(slots, rows));
+}
+
 size_t
 ScratchPipeController::metadataBytes() const
 {

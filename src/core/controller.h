@@ -225,6 +225,19 @@ class ScratchPipeController
                                    uint32_t future_window,
                                    size_t ids_per_batch);
 
+    /**
+     * Slots to provision per table of `rows` rows: the nominal
+     * `cache_fraction` of the table (at least one slot), grown to
+     * worstCaseSlots() when `enforce_bound` is set, and never more
+     * than the table itself. fatal()s unless cache_fraction is in
+     * (0, 1]; NaN is rejected too.
+     */
+    static uint32_t provisionedSlots(double cache_fraction, uint64_t rows,
+                                     uint32_t past_window,
+                                     uint32_t future_window,
+                                     size_t ids_per_batch,
+                                     bool enforce_bound);
+
     /** Heap bytes of controller metadata (Hit-Map, masks, keys). */
     size_t metadataBytes() const;
 

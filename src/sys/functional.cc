@@ -220,7 +220,8 @@ FunctionalStaticCacheTrainer::FunctionalStaticCacheTrainer(
       model_(config.dlrmConfig(), config.model_seed)
 {
     config_.validate();
-    fatalIf(cache_fraction <= 0.0 || cache_fraction > 1.0,
+    // Written as !(in range) so NaN is rejected too.
+    fatalIf(!(cache_fraction > 0.0 && cache_fraction <= 1.0),
             "cache_fraction must be in (0, 1], got ", cache_fraction);
     fatalIf(config.optimizer != Optimizer::Sgd,
             "the static-cache trainer supports SGD only; use the hybrid "
@@ -304,25 +305,12 @@ FunctionalScratchPipeTrainer::FunctionalScratchPipeTrainer(
       model_(config.dlrmConfig(), config.model_seed)
 {
     config_.validate();
-    fatalIf(options.cache_fraction <= 0.0 || options.cache_fraction > 1.0,
-            "cache_fraction must be in (0, 1], got ",
-            options.cache_fraction);
-
     const uint32_t pw = options_.pipelined ? options_.past_window : 0;
     const uint32_t fw = options_.pipelined ? options_.future_window : 0;
-    uint64_t slots = std::max<uint64_t>(
-        1, static_cast<uint64_t>(
-               options.cache_fraction *
-               static_cast<double>(config_.trace.rows_per_table)));
-    if (options.enforce_capacity_bound) {
-        slots = std::max<uint64_t>(
-            slots, core::ScratchPipeController::worstCaseSlots(
-                       pw, fw, config_.trace.idsPerTable()));
-    }
-    slots = std::min<uint64_t>(slots, config_.trace.rows_per_table);
-
     core::ControllerConfig cc;
-    cc.num_slots = static_cast<uint32_t>(slots);
+    cc.num_slots = core::ScratchPipeController::provisionedSlots(
+        options.cache_fraction, config_.trace.rows_per_table, pw, fw,
+        config_.trace.idsPerTable(), options.enforce_capacity_bound);
     cc.dim = config_.embedding_dim;
     cc.past_window = pw;
     cc.future_window = fw;

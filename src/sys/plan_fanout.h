@@ -1,14 +1,13 @@
 /**
  * @file
- * Shared per-table [Plan] fan-out for the timing systems.
+ * Per-table [Plan] fan-out for the ScratchPipe timing model.
  *
- * ScratchPipeSystem and ScratchPipeMultiGpuSystem run one controller
- * per table over the same batch loop; the per-table plan calls are
- * independent, so they fan out across the worker pool. This helper
- * owns the reusable scratch (future-window span lists, per-table
- * outcomes) and the fan-out itself so the two systems cannot diverge.
- * Table t only writes slot t, keeping results bit-identical to a
- * serial table loop.
+ * ScratchPipeSystem runs one controller per table (at any GPU count);
+ * the per-table plan calls are independent, so they fan out across
+ * the worker pool. This helper owns the reusable scratch
+ * (future-window span lists, per-table outcomes) and the fan-out
+ * itself. Table t only writes slot t, keeping results bit-identical
+ * to a serial table loop.
  *
  * runAsync() is the engine's two-deep software pipeline: it launches
  * batch i+1's fan-out and returns immediately, so the caller reduces

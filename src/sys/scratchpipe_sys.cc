@@ -9,6 +9,7 @@
 #include "common/thread_pool.h"
 #include "core/controller.h"
 #include "emb/traffic.h"
+#include "nn/dlrm.h"
 #include "nn/flops.h"
 #include "sys/plan_fanout.h"
 #include "sys/registry.h"
@@ -18,29 +19,19 @@ namespace sp::sys
 
 ScratchPipeSystem::ScratchPipeSystem(const ModelConfig &model,
                                      const sim::HardwareConfig &hardware,
-                                     const ScratchPipeOptions &options)
-    : model_(model), latency_(hardware), options_(options)
+                                     const ScratchPipeOptions &options,
+                                     int gpus)
+    : model_(model), latency_(hardware), options_(options), gpus_(gpus)
 {
     model_.validate();
-    // Written as !(in range) so NaN is rejected too.
-    fatalIf(!(options.cache_fraction > 0.0 &&
-              options.cache_fraction <= 1.0),
-            "cache_fraction must be in (0, 1], got ",
-            options.cache_fraction);
-
-    const uint64_t nominal = static_cast<uint64_t>(
-        options.cache_fraction *
-        static_cast<double>(model_.trace.rows_per_table));
-    uint64_t slots = std::max<uint64_t>(nominal, 1);
-    if (options.enforce_capacity_bound) {
-        const uint32_t pw = options.pipelined ? options.past_window : 0;
-        const uint32_t fw = options.pipelined ? options.future_window : 0;
-        slots = std::max<uint64_t>(
-            slots, core::ScratchPipeController::worstCaseSlots(
-                       pw, fw, model_.trace.idsPerTable()));
-    }
-    slots = std::min<uint64_t>(slots, model_.trace.rows_per_table);
-    slots_per_table_ = static_cast<uint32_t>(slots);
+    fatalIf(gpus < 1, "gpus must be >= 1, got ", gpus);
+    fatalIf(gpus > 1 && !options.pipelined,
+            "the multi-GPU extension models the pipelined design only");
+    slots_per_table_ = core::ScratchPipeController::provisionedSlots(
+        options.cache_fraction, model_.trace.rows_per_table,
+        options.pipelined ? options.past_window : 0,
+        options.pipelined ? options.future_window : 0,
+        model_.trace.idsPerTable(), options.enforce_capacity_bound);
 }
 
 RunResult
@@ -56,11 +47,15 @@ ScratchPipeSystem::simulate(const data::TraceDataset &dataset,
     const auto &trace = model_.trace;
     const uint64_t batch = trace.batch_size;
     const size_t rb = model_.rowBytes();
+    const size_t gpus = gpus_;
     // Per-row optimizer state (AdaGrad) migrates with fills,
     // write-backs and scatter updates -- but not with gathers.
-    const size_t rb_state = rb + model_.optimizerStateBytesPerRow();
+    const size_t rb_state =
+        gpus == 1 ? rb + model_.optimizerStateBytesPerRow() : rb;
     const double n_total = static_cast<double>(trace.idsPerBatch());
     const uint64_t n_per_table = trace.idsPerTable();
+    // GPU g owns tables t = g (mod gpus); GPU 0 owns the most.
+    const size_t tables_per_gpu = (trace.num_tables + gpus - 1) / gpus;
     using CpuPath = sim::LatencyModel::CpuPath;
 
     // Real controllers (phantom storage) drive hit/miss behaviour.
@@ -96,10 +91,19 @@ ScratchPipeSystem::simulate(const data::TraceDataset &dataset,
     }
     // Train carries the framework's per-iteration overhead instead of
     // a bare pipeline sync.
-    total[5].overhead = hw.gpu_iteration_overhead;
+    total[5].overhead = gpus > 1 ? hw.multi_gpu_iteration_overhead
+                                 : hw.gpu_iteration_overhead;
 
     uint64_t total_hits = 0, total_ids = 0;
-    const double flops = nn::dlrmIterationFlops(model_.dlrmConfig(), batch);
+    const nn::DlrmConfig dlrm = model_.dlrmConfig();
+    // The MLPs train data-parallel: each GPU runs 1/gpus of the FLOPs.
+    const double flops = nn::dlrmIterationFlops(dlrm, batch) / gpus;
+    // MLP parameter bytes, all-reduced across GPUs every iteration.
+    const double param_bytes =
+        gpus > 1 ? static_cast<double>(
+                       nn::DlrmModel(dlrm, 1).parameterCount()) *
+                       sizeof(float)
+                 : 0.0;
 
     // Tables are independent (one controller each), so their [Plan]
     // stages fan out across the shared pool.
@@ -112,16 +116,28 @@ ScratchPipeSystem::simulate(const data::TraceDataset &dataset,
     const auto account = [&](uint64_t i,
                              const std::vector<TablePlanOutcome>
                                  &outcomes) {
-        uint64_t fills = 0, evicts = 0;
-        for (const auto &outcome : outcomes) {
-            fills += outcome.fills;
-            evicts += outcome.evicts;
-            total_hits += outcome.hits;
-            total_ids += outcome.ids;
+        // The shared CPU DRAM serves every GPU's fills and write-backs
+        // (sum); GPU-side stages are bound by the busiest GPU (max).
+        uint64_t fills = 0, evicts = 0, gpu_fills = 0, gpu_evicts = 0;
+        for (size_t g = 0; g < gpus; ++g) {
+            uint64_t fills_g = 0, evicts_g = 0;
+            for (size_t t = g; t < trace.num_tables; t += gpus) {
+                fills_g += outcomes[t].fills;
+                evicts_g += outcomes[t].evicts;
+                total_hits += outcomes[t].hits;
+                total_ids += outcomes[t].ids;
+            }
+            fills += fills_g;
+            evicts += evicts_g;
+            gpu_fills = std::max(gpu_fills, fills_g);
+            gpu_evicts = std::max(gpu_evicts, evicts_g);
         }
 
-        const double fill_bytes = static_cast<double>(fills) * rb_state;
-        const double evict_bytes = static_cast<double>(evicts) * rb_state;
+        const double fill_bytes = static_cast<double>(gpu_fills) * rb_state;
+        const double evict_bytes =
+            static_cast<double>(gpu_evicts) * rb_state;
+        const double writeback_bytes =
+            static_cast<double>(evicts) * rb_state;
 
         // [Load]: stream the next batch's IDs through host memory.
         {
@@ -130,16 +146,19 @@ ScratchPipeSystem::simulate(const data::TraceDataset &dataset,
             t.dense_write_bytes = n_total * sizeof(uint64_t);
             total[0].demand += latency_.cpuDemand(t, CpuPath::Runtime);
         }
-        // [Plan]: IDs H2D, Hit-Map probes and mask maintenance on GPU.
+        // [Plan]: each GPU's IDs H2D, Hit-Map probes and mask
+        // maintenance on its own tables.
         {
+            const double gpu_ids =
+                static_cast<double>(tables_per_gpu) * n_per_table;
             total[1].demand +=
-                latency_.pcieH2DDemand(n_total * sizeof(uint64_t));
+                latency_.pcieH2DDemand(gpu_ids * sizeof(uint64_t));
             emb::Traffic t;
-            t.dense_read_bytes = n_total * 16.0; // hash probes
+            t.dense_read_bytes = gpu_ids * 16.0; // hash probes
             t.dense_read_bytes += static_cast<double>(slots_per_table_) *
-                                  trace.num_tables * sizeof(uint16_t);
+                                  tables_per_gpu * sizeof(uint16_t);
             t.dense_write_bytes += static_cast<double>(slots_per_table_) *
-                                   trace.num_tables * sizeof(uint16_t);
+                                   tables_per_gpu * sizeof(uint16_t);
             total[1].demand += latency_.gpuMemDemand(t);
         }
         // [Collect]: CPU gathers fills; GPU reads victims to staging.
@@ -164,14 +183,15 @@ ScratchPipeSystem::simulate(const data::TraceDataset &dataset,
             gpu.sparse_write_bytes = fill_bytes;
             total[4].demand += latency_.gpuMemDemand(gpu);
             emb::Traffic cpu;
-            cpu.dense_read_bytes = evict_bytes;
-            cpu.sparse_write_bytes = evict_bytes;
+            cpu.dense_read_bytes = writeback_bytes;
+            cpu.sparse_write_bytes = writeback_bytes;
             total[4].demand += latency_.cpuDemand(cpu, CpuPath::Runtime);
         }
-        // [Train]: all embedding work at GPU memory speed + the MLPs.
+        // [Train]: GPU 0's embedding work at HBM speed, its share of
+        // the MLPs, and (gpus > 1) the NVLink collectives.
         {
             emb::Traffic gpu;
-            for (size_t t = 0; t < trace.num_tables; ++t) {
+            for (size_t t = 0; t < trace.num_tables; t += gpus) {
                 const size_t unique = stats.unique(i, t);
                 gpu += emb::embeddingForwardTraffic(n_per_table, batch, rb);
                 gpu += emb::duplicateTraffic(batch, n_per_table, rb);
@@ -181,9 +201,19 @@ ScratchPipeSystem::simulate(const data::TraceDataset &dataset,
             }
             total[5].demand += latency_.gpuMemDemand(gpu);
             total[5].demand += latency_.gpuComputeDemand(flops);
-            total[5].demand += latency_.pcieH2DDemand(
-                static_cast<double>(batch) * (trace.dense_features + 1) *
-                sizeof(float));
+            if (gpus == 1) {
+                total[5].demand += latency_.pcieH2DDemand(
+                    static_cast<double>(batch) / gpus *
+                    (trace.dense_features + 1) * sizeof(float));
+            }
+            // All-to-all of pooled embeddings (forward + backward) and
+            // the MLP gradient all-reduce; both are zero at gpus = 1.
+            const double a2a_bytes = static_cast<double>(batch) *
+                                     tables_per_gpu * rb * (gpus - 1.0) /
+                                     gpus;
+            total[5].demand += latency_.nvlinkDemand(2.0 * a2a_bytes);
+            total[5].demand += latency_.nvlinkDemand(
+                2.0 * param_bytes * (gpus - 1.0) / gpus);
         }
     };
 
@@ -231,7 +261,8 @@ ScratchPipeSystem::simulate(const data::TraceDataset &dataset,
         gpu_busy += stage.demand[sim::Resource::GpuHbm] +
                     stage.demand[sim::Resource::GpuCompute] +
                     stage.demand[sim::Resource::PcieH2D] +
-                    stage.demand[sim::Resource::PcieD2H];
+                    stage.demand[sim::Resource::PcieD2H] +
+                    stage.demand[sim::Resource::NvLink];
     }
     result.busy.iteration_seconds = result.seconds_per_iteration;
     result.busy.cpu_busy_seconds = cpu_busy;

@@ -19,6 +19,26 @@
  * (sim::solvePipeline); the straw-man executes the same stages
  * sequentially (paper Section IV-B) with windows shrunk to the current
  * batch only.
+ *
+ * Multi-GPU extension (paper Section VI-G). The paper discusses,
+ * without evaluating, table-wise model-parallel ScratchPipe: each GPU
+ * owns a subset of the tables and runs one cache-manager instance per
+ * owned table; since table-wise parallelism keeps each table's
+ * forward/backward on one GPU, no new hazards appear. The stage model
+ * is unchanged -- only the resources each stage is charged to move.
+ * With `gpus` > 1, GPU g owns tables t = g (mod gpus) and per cycle:
+ *  - CPU DRAM serves every GPU's [Collect]/[Insert] traffic (shared,
+ *    so the sum over GPUs is charged);
+ *  - each GPU has its own HBM, PCIe lanes and SMs (the busiest GPU's
+ *    demand is charged);
+ *  - [Train] runs GPU 0's owned tables, 1/gpus of the MLP FLOPs and
+ *    of the dense-input upload, plus the all-to-all of pooled
+ *    embeddings and the data-parallel MLP all-reduce over NVLink;
+ *  - the distributed framework's per-iteration overhead replaces the
+ *    single-GPU one.
+ * The paper predicts the extension is viable but not cost-effective
+ * -- the DNNs were never the bottleneck, so the extra GPUs mostly
+ * idle; bench_extension_multigpu_scratchpipe quantifies it.
  */
 
 #ifndef SP_SYS_SCRATCHPIPE_SYS_H
@@ -93,9 +113,13 @@ struct ScratchPipeOptions
 class ScratchPipeSystem : public System
 {
   public:
+    /**
+     * `gpus` is the table-parallel GPU count: 1 is the paper's design,
+     * more models the Section VI-G extension (pipelined only).
+     */
     ScratchPipeSystem(const ModelConfig &model,
                       const sim::HardwareConfig &hardware,
-                      const ScratchPipeOptions &options);
+                      const ScratchPipeOptions &options, int gpus = 1);
 
     RunResult simulate(const data::TraceDataset &dataset,
                        const BatchStats &stats, uint64_t iterations,
@@ -109,7 +133,9 @@ class ScratchPipeSystem : public System
 
     std::string name() const override
     {
-        return options_.pipelined ? "ScratchPipe" : "Straw-man";
+        if (!options_.pipelined)
+            return "Straw-man";
+        return gpus_ > 1 ? "ScratchPipe multi-GPU" : "ScratchPipe";
     }
     std::string description() const override
     {
@@ -126,6 +152,7 @@ class ScratchPipeSystem : public System
     ModelConfig model_;
     sim::LatencyModel latency_;
     ScratchPipeOptions options_;
+    int gpus_ = 1;
     uint32_t slots_per_table_ = 0;
 };
 

@@ -5,7 +5,6 @@
 #include "common/logging.h"
 #include "metrics/cost.h"
 #include "sys/multigpu.h"
-#include "sys/scratchpipe_multigpu.h"
 #include "sys/scratchpipe_sys.h"
 
 namespace sp::sys
@@ -34,6 +33,7 @@ struct PaperWorkload
 };
 
 const sim::HardwareConfig kHw = sim::HardwareConfig::paperTestbed();
+const int kGpus = kHw.multi_gpu_count;
 
 ScratchPipeOptions
 defaultOptions()
@@ -49,7 +49,7 @@ TEST(ScratchPipeMultiGpu, FasterThanSingleGpuScratchPipe)
     // must be faster per iteration...
     PaperWorkload w(data::Locality::Medium);
     ScratchPipeSystem single(w.model, kHw, defaultOptions());
-    ScratchPipeMultiGpuSystem multi(w.model, kHw, defaultOptions());
+    ScratchPipeSystem multi(w.model, kHw, defaultOptions(), kGpus);
     const double t1 =
         single.simulate(w.dataset, w.stats, w.iters).seconds_per_iteration;
     const double t8 =
@@ -63,7 +63,7 @@ TEST(ScratchPipeMultiGpu, FarFromLinearScaling)
     // bind it (the paper's Section VI-G argument).
     PaperWorkload w(data::Locality::Random);
     ScratchPipeSystem single(w.model, kHw, defaultOptions());
-    ScratchPipeMultiGpuSystem multi(w.model, kHw, defaultOptions());
+    ScratchPipeSystem multi(w.model, kHw, defaultOptions(), kGpus);
     const double t1 =
         single.simulate(w.dataset, w.stats, w.iters).seconds_per_iteration;
     const double t8 =
@@ -78,7 +78,7 @@ TEST(ScratchPipeMultiGpu, NotCostEffective)
     for (auto locality : {data::Locality::Random, data::Locality::High}) {
         PaperWorkload w(locality);
         ScratchPipeSystem single(w.model, kHw, defaultOptions());
-        ScratchPipeMultiGpuSystem multi(w.model, kHw, defaultOptions());
+        ScratchPipeSystem multi(w.model, kHw, defaultOptions(), kGpus);
         const double t1 = single.simulate(w.dataset, w.stats, w.iters)
                               .seconds_per_iteration;
         const double t8 = multi.simulate(w.dataset, w.stats, w.iters)
@@ -94,7 +94,7 @@ TEST(ScratchPipeMultiGpu, NotCostEffective)
 TEST(ScratchPipeMultiGpu, SixStageBreakdownReported)
 {
     PaperWorkload w(data::Locality::Medium);
-    ScratchPipeMultiGpuSystem multi(w.model, kHw, defaultOptions());
+    ScratchPipeSystem multi(w.model, kHw, defaultOptions(), kGpus);
     const auto result = multi.simulate(w.dataset, w.stats, w.iters);
     EXPECT_EQ(result.breakdown.stages().size(), 6u);
     EXPECT_EQ(result.system_name, "ScratchPipe multi-GPU");
@@ -108,7 +108,7 @@ TEST(ScratchPipeMultiGpu, HitRateMatchesSingleGpu)
     // charging differs, so hit rates must agree.
     PaperWorkload w(data::Locality::High);
     ScratchPipeSystem single(w.model, kHw, defaultOptions());
-    ScratchPipeMultiGpuSystem multi(w.model, kHw, defaultOptions());
+    ScratchPipeSystem multi(w.model, kHw, defaultOptions(), kGpus);
     const auto r1 = single.simulate(w.dataset, w.stats, w.iters);
     const auto r8 = multi.simulate(w.dataset, w.stats, w.iters);
     EXPECT_NEAR(r1.hit_rate, r8.hit_rate, 1e-12);
@@ -154,7 +154,7 @@ TEST(ScratchPipeMultiGpu, ResultJsonPinned)
     };
     for (const auto &c : cases) {
         PaperWorkload w(c.locality);
-        ScratchPipeMultiGpuSystem multi(w.model, kHw, defaultOptions());
+        ScratchPipeSystem multi(w.model, kHw, defaultOptions(), kGpus);
         const auto result = multi.simulate(w.dataset, w.stats, w.iters);
         EXPECT_EQ(result.toJson(), c.json)
             << data::localityName(c.locality);
@@ -166,7 +166,7 @@ TEST(ScratchPipeMultiGpu, StrawmanModeRejected)
     PaperWorkload w(data::Locality::Medium);
     ScratchPipeOptions options = defaultOptions();
     options.pipelined = false;
-    EXPECT_THROW(ScratchPipeMultiGpuSystem(w.model, kHw, options),
+    EXPECT_THROW(ScratchPipeSystem(w.model, kHw, options, kGpus),
                  FatalError);
 }
 
