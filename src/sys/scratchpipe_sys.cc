@@ -50,8 +50,7 @@ ScratchPipeSystem::simulate(const data::TraceDataset &dataset,
     const size_t gpus = gpus_;
     // Per-row optimizer state (AdaGrad) migrates with fills,
     // write-backs and scatter updates -- but not with gathers.
-    const size_t rb_state =
-        gpus == 1 ? rb + model_.optimizerStateBytesPerRow() : rb;
+    const size_t rb_state = rb + model_.optimizerStateBytesPerRow();
     const double n_total = static_cast<double>(trace.idsPerBatch());
     const uint64_t n_per_table = trace.idsPerTable();
     // GPU g owns tables t = g (mod gpus); GPU 0 owns the most.
@@ -201,11 +200,10 @@ ScratchPipeSystem::simulate(const data::TraceDataset &dataset,
             }
             total[5].demand += latency_.gpuMemDemand(gpu);
             total[5].demand += latency_.gpuComputeDemand(flops);
-            if (gpus == 1) {
-                total[5].demand += latency_.pcieH2DDemand(
-                    static_cast<double>(batch) / gpus *
-                    (trace.dense_features + 1) * sizeof(float));
-            }
+            // Each GPU uploads its batch/gpus share of the dense input.
+            total[5].demand += latency_.pcieH2DDemand(
+                static_cast<double>(batch) / gpus *
+                (trace.dense_features + 1) * sizeof(float));
             // All-to-all of pooled embeddings (forward + backward) and
             // the MLP gradient all-reduce; both are zero at gpus = 1.
             const double a2a_bytes = static_cast<double>(batch) *

@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/logging.h"
 #include "sys/functional.h"
+#include "sys/scratchpipe_sys.h"
 
 namespace sp::sys
 {
@@ -38,6 +41,26 @@ TEST(ScratchPipeProperties, AuditPassesWithPaperWindows)
             << data::localityName(locality);
         EXPECT_EQ(trainer.auditor().cyclesAudited(), 34u);
         EXPECT_GT(trainer.auditor().checkedAccesses(), 0u);
+    }
+}
+
+TEST(ScratchPipeProperties, InvalidCacheFractionFatal)
+{
+    // The timing model and the functional trainer share one sizing
+    // rule, which must reject NaN before it reaches the slot cast.
+    const ModelConfig model = functionalModel(data::Locality::Medium, 5);
+    const sim::HardwareConfig hw = sim::HardwareConfig::paperTestbed();
+    for (const double fraction :
+         {0.0, -0.1, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
+        ScratchPipeOptions timing;
+        timing.cache_fraction = fraction;
+        EXPECT_THROW(ScratchPipeSystem(model, hw, timing), FatalError)
+            << fraction;
+        FunctionalScratchPipeTrainer::Options functional;
+        functional.cache_fraction = fraction;
+        EXPECT_THROW(FunctionalScratchPipeTrainer(model, functional),
+                     FatalError)
+            << fraction;
     }
 }
 
