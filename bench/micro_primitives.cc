@@ -75,8 +75,8 @@ BENCHMARK(BM_HitMapFindMiss);
  * Batched-probe kernels over a hit-rate x load-factor grid:
  * Args({hit_pct, load_pct}). hitmap_probe_scalar runs the pipelined
  * scalar reference, hitmap_probe_simd whatever kernel runtime
- * dispatch picks (AVX2/NEON; identical to scalar on hosts without
- * SIMD, so the pair doubles as a parity check of the grid).
+ * dispatch picks (AVX2; identical to scalar on hosts without it,
+ * so the pair doubles as a parity check of the grid).
  */
 void
 probeGridArgs(benchmark::internal::Benchmark *bench)

@@ -15,9 +15,9 @@
  * hit.
  *
  * Batched probes run through the probe-kernel family
- * (cache/probe_kernel.h): scalar software-pipelined reference, AVX2
- * gather, or NEON, selected at runtime (SP_SIMD / setProbeMode) and
- * all bit-identical by the equivalence harness.
+ * (cache/probe_kernel.h): scalar software-pipelined reference or
+ * AVX2 gather, selected at runtime (SP_SIMD / setProbeMode) and
+ * bit-identical by the equivalence harness.
  */
 
 #ifndef SP_CACHE_HIT_MAP_H

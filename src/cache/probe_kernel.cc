@@ -71,8 +71,6 @@ compiledProbeKernels()
     std::vector<const ProbeKernel *> kernels = {&kScalarKernel};
     if (const ProbeKernel *avx2 = avx2ProbeKernel())
         kernels.push_back(avx2);
-    if (const ProbeKernel *neon = neonProbeKernel())
-        kernels.push_back(neon);
     return kernels;
 }
 
@@ -93,9 +91,6 @@ selectProbeKernel(ProbeMode mode)
     if (const ProbeKernel *avx2 = avx2ProbeKernel();
         avx2 != nullptr && avx2->supported())
         return *avx2;
-    if (const ProbeKernel *neon = neonProbeKernel();
-        neon != nullptr && neon->supported())
-        return *neon;
     return kScalarKernel;
 }
 

@@ -19,9 +19,9 @@
  *           settling the common single-probe lanes; the rare
  *           collision chains fall back to the scalar continuation
  *           (compiled in its own TU with a per-file -mavx2, so the
- *           rest of the binary stays portable);
- *   neon    the prefetch pipeline on aarch64 (no gather in NEON and
- *           no vector 64-bit multiply; the probes stay scalar).
+ *           rest of the binary stays portable).
+ *
+ * Other architectures (aarch64 included) run the scalar reference.
  *
  * Selection: ProbeMode::Auto follows the SP_SIMD environment variable
  * (scalar | native), Scalar/Native pin it per HitMap via the probe=
@@ -108,7 +108,7 @@ using ProbeKernelFn = void (*)(const ProbeTable &table,
 /** One compiled kernel. */
 struct ProbeKernel
 {
-    const char *name;        //!< "scalar" / "avx2" / "neon"
+    const char *name;        //!< "scalar" / "avx2"
     ProbeKernelFn fn;        //!< the batched probe
     bool (*supported)();     //!< host CPU can execute it right now
 };
@@ -126,9 +126,6 @@ const ProbeKernel &scalarProbeKernel();
 
 /** The AVX2 kernel, or nullptr when this build has no x86-64 TU. */
 const ProbeKernel *avx2ProbeKernel();
-
-/** The NEON kernel, or nullptr when this build has no aarch64 TU. */
-const ProbeKernel *neonProbeKernel();
 
 /**
  * Every kernel in this binary, scalar first. Kernels the host CPU

@@ -297,9 +297,6 @@ TEST(ProbeKernelDispatch, NativeSelectsWidestSupportedKernel)
     if (const ProbeKernel *avx2 = avx2ProbeKernel();
         avx2 != nullptr && avx2->supported()) {
         EXPECT_STREQ(native.name, "avx2");
-    } else if (const ProbeKernel *neon = neonProbeKernel();
-               neon != nullptr && neon->supported()) {
-        EXPECT_STREQ(native.name, "neon");
     } else {
         EXPECT_STREQ(native.name, "scalar");
     }

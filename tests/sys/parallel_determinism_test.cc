@@ -139,7 +139,7 @@ TEST(ParallelDeterminism, EngineModeMatrixBitIdentical)
 TEST(ParallelDeterminism, ProbeKernelMatrixBitIdentical)
 {
     // The probe= axis joins the engine-mode matrix: the scalar
-    // reference and the runtime-dispatched native kernel (AVX2/NEON
+    // reference and the runtime-dispatched native kernel (AVX2
     // where available, scalar parity otherwise) must serialise to the
     // same bytes at every jobs x shard combination -- including
     // shard=0 (one shard per pool thread), where SIMD probes run
