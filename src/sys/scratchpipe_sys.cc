@@ -47,7 +47,7 @@ ScratchPipeSystem::simulate(const data::TraceDataset &dataset,
     const auto &trace = model_.trace;
     const uint64_t batch = trace.batch_size;
     const size_t rb = model_.rowBytes();
-    const size_t gpus = gpus_;
+    const size_t gpus = static_cast<size_t>(gpus_);
     // Per-row optimizer state (AdaGrad) migrates with fills,
     // write-backs and scatter updates -- but not with gathers.
     const size_t rb_state = rb + model_.optimizerStateBytesPerRow();
@@ -132,6 +132,8 @@ ScratchPipeSystem::simulate(const data::TraceDataset &dataset,
             gpu_evicts = std::max(gpu_evicts, evicts_g);
         }
 
+        // Fills and victims move per GPU; the CPU applies every GPU's
+        // write-backs.
         const double fill_bytes = static_cast<double>(gpu_fills) * rb_state;
         const double evict_bytes =
             static_cast<double>(gpu_evicts) * rb_state;

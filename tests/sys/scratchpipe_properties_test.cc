@@ -46,8 +46,8 @@ TEST(ScratchPipeProperties, AuditPassesWithPaperWindows)
 
 TEST(ScratchPipeProperties, InvalidCacheFractionFatal)
 {
-    // The timing model and the functional trainer share one sizing
-    // rule, which must reject NaN before it reaches the slot cast.
+    // The timing model and the functional trainers share the (0, 1]
+    // rule, which must reject NaN before it reaches a row-count cast.
     const ModelConfig model = functionalModel(data::Locality::Medium, 5);
     const sim::HardwareConfig hw = sim::HardwareConfig::paperTestbed();
     for (const double fraction :
@@ -59,6 +59,9 @@ TEST(ScratchPipeProperties, InvalidCacheFractionFatal)
         FunctionalScratchPipeTrainer::Options functional;
         functional.cache_fraction = fraction;
         EXPECT_THROW(FunctionalScratchPipeTrainer(model, functional),
+                     FatalError)
+            << fraction;
+        EXPECT_THROW(FunctionalStaticCacheTrainer(model, fraction),
                      FatalError)
             << fraction;
     }
