@@ -134,8 +134,8 @@ TEST(ScratchPipeMultiGpu, AdaGradStateMigratesAtEveryGpuCount)
 
 TEST(ScratchPipeMultiGpu, ResultJsonPinned)
 {
-    // Exact bytes of the 8-GPU run: one case bound by the shared CPU
-    // DRAM, one by [Train], so every stage term feeds a pinned field.
+    // Exact bytes of the 8-GPU run at both bottlenecks: the shared
+    // CPU DRAM (Medium) and [Train] (High).
     const struct
     {
         data::Locality locality;
