@@ -1,10 +1,12 @@
 #include "emb/embedding_ops.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <numeric>
 
+#include "cache/probe_kernel.h"
 #include "common/logging.h"
 
 namespace sp::emb
@@ -166,10 +168,28 @@ countUnique(std::span<const uint64_t> ids)
 size_t
 countUnique(std::span<const uint64_t> ids, std::vector<uint64_t> &scratch)
 {
-    scratch.assign(ids.begin(), ids.end());
-    std::sort(scratch.begin(), scratch.end());
-    return static_cast<size_t>(
-        std::unique(scratch.begin(), scratch.end()) - scratch.begin());
+    // Linear-probing set at load factor <= 1/2, keyed by the Hit-Map's
+    // hash. Its empty-bucket sentinel is the one ID the set cannot
+    // hold, so that value is counted by a flag instead.
+    constexpr uint64_t kEmpty = cache::kProbeEmptyKey;
+    const size_t mask = std::bit_ceil(2 * ids.size()) - 1;
+    scratch.assign(mask + 1, kEmpty);
+    size_t unique = 0;
+    bool saw_empty_key = false;
+    for (const uint64_t id : ids) {
+        if (id == kEmpty) {
+            saw_empty_key = true;
+            continue;
+        }
+        size_t bucket = cache::probeHashKey(id) & mask;
+        while (scratch[bucket] != kEmpty && scratch[bucket] != id)
+            bucket = (bucket + 1) & mask;
+        if (scratch[bucket] == kEmpty) {
+            scratch[bucket] = id;
+            ++unique;
+        }
+    }
+    return unique + (saw_empty_key ? 1 : 0);
 }
 
 std::vector<uint64_t>

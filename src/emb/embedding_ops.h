@@ -97,10 +97,11 @@ void adagradScatter(RowAccessor &table, RowAccessor &state,
 size_t countUnique(std::span<const uint64_t> ids);
 
 /**
- * countUnique with a caller-provided scratch buffer: `scratch` is
- * resized to hold a sorted copy of `ids` but keeps its capacity, so
- * repeated calls (the per-batch statistics loops) stop paying a heap
- * allocation per call.
+ * countUnique with a caller-provided scratch buffer: `scratch` becomes
+ * an open-addressing hash set of bit_ceil(2 * ids.size()) buckets but
+ * keeps its capacity, so repeated calls (the per-batch statistics
+ * loops) stop paying a heap allocation per call. No sort: use
+ * uniqueIds() when the distinct IDs themselves are needed.
  */
 size_t countUnique(std::span<const uint64_t> ids,
                    std::vector<uint64_t> &scratch);

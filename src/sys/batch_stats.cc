@@ -14,8 +14,9 @@ BatchStats::BatchStats(const data::TraceDataset &dataset,
             "dataset has ", dataset.numBatches(), " batches, need ",
             iterations);
     // Batches are independent, so the unique counts compute in
-    // parallel; each worker reuses one sort buffer across its share
-    // of the batches instead of allocating per countUnique call.
+    // parallel; each worker reuses one hash-set buffer across its
+    // share of the batches instead of allocating per countUnique
+    // call.
     unique_.resize(iterations);
     common::parallelFor(iterations, [this, &dataset](size_t b) {
         static thread_local std::vector<uint64_t> scratch;

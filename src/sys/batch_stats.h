@@ -6,7 +6,8 @@
  * table (it sizes the coalesced-gradient scatter). Computing it once
  * per dataset and sharing across systems keeps sweeps fast and
  * guarantees every system charges identical traffic for identical
- * work.
+ * work. Each count is one pass of emb::countUnique's hash set (no
+ * sort), with batches spread over the worker pool.
  */
 
 #ifndef SP_SYS_BATCH_STATS_H

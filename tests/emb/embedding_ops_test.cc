@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -208,6 +211,82 @@ TEST(EmbeddingOps, CountUnique)
     const std::vector<uint64_t> ids = {4, 4, 1, 9, 1, 4};
     EXPECT_EQ(countUnique(ids), 3u);
     EXPECT_EQ(countUnique(std::vector<uint64_t>{}), 0u);
+}
+
+/** splitmix64: a seeded stream independent of the code under test. */
+uint64_t
+splitmix64(uint64_t &state)
+{
+    uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+}
+
+size_t
+sortUniqueCount(std::vector<uint64_t> ids)
+{
+    std::sort(ids.begin(), ids.end());
+    return static_cast<size_t>(std::unique(ids.begin(), ids.end()) -
+                               ids.begin());
+}
+
+TEST(EmbeddingOps, CountUniqueMatchesSortReference)
+{
+    // BatchStats and its determinism tests compare against
+    // countUnique itself, so the hash set is checked here against an
+    // independent sort + unique on seeded inputs.
+    constexpr uint64_t kMax = ~0ull; // the Hit-Map's empty sentinel
+    uint64_t state = 0x5eedull;
+    std::vector<std::pair<const char *, std::vector<uint64_t>>> cases;
+    cases.push_back({"empty", {}});
+    cases.push_back({"one id", {splitmix64(state)}});
+    cases.push_back({"all equal", std::vector<uint64_t>(5000, 77)});
+    {
+        std::vector<uint64_t> ids(40960);
+        for (auto &id : ids)
+            id = splitmix64(state) >> 1;
+        cases.push_back({"all distinct", ids});
+    }
+    {
+        // Log-uniform ranks over 10M rows: a few hot IDs repeat
+        // thousands of times, the tail is mostly singletons.
+        std::vector<uint64_t> ids(40960);
+        for (auto &id : ids) {
+            const double u = static_cast<double>(splitmix64(state) >> 11) *
+                             0x1.0p-53;
+            id = static_cast<uint64_t>(std::exp(u * std::log(1e7))) - 1;
+        }
+        cases.push_back({"zipf-like", ids});
+    }
+    {
+        // Around 2^32, plus IDs equal in their low 32 bits: a count
+        // that truncated keys would merge them.
+        std::vector<uint64_t> ids;
+        for (int i = 0; i < 4096; ++i) {
+            const uint64_t r = splitmix64(state);
+            ids.push_back((1ull << 32) - 64 + r % 128);
+            ids.push_back(((r >> 40) % 4 << 32) | (r % 16));
+        }
+        cases.push_back({"straddling 2^32", ids});
+    }
+    cases.push_back({"sentinel alone", {kMax}});
+    cases.push_back({"sentinel twice", {kMax, kMax}});
+    {
+        std::vector<uint64_t> ids = {kMax, kMax - 1, 0, kMax};
+        for (int i = 0; i < 1000; ++i)
+            ids.push_back(splitmix64(state) % 300);
+        ids.push_back(kMax);
+        cases.push_back({"sentinel among ids", ids});
+    }
+
+    // One scratch across every case, large inputs before small ones:
+    // a stale set from the previous call must never leak into a count.
+    std::vector<uint64_t> scratch;
+    for (const auto &[name, ids] : cases) {
+        EXPECT_EQ(countUnique(ids, scratch), sortUniqueCount(ids)) << name;
+        EXPECT_EQ(countUnique(ids), sortUniqueCount(ids)) << name;
+    }
 }
 
 TEST(EmbeddingOps, UniqueIdsSorted)
