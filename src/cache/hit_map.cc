@@ -72,6 +72,42 @@ HitMap::insert(uint64_t key, uint32_t slot)
 }
 
 void
+HitMap::loadIdentity(uint32_t n)
+{
+    panicIf(size_ != 0, "HitMap::loadIdentity needs an empty map, it "
+                        "holds ", size_, " entries");
+    // Same bound as insert()'s grow check at the last of n inserts.
+    panicIf(static_cast<uint64_t>(n) * 10 >= keys_.size() * 7,
+            "HitMap::loadIdentity of ", n, " keys needs more than ",
+            keys_.size(), " buckets");
+    // Each insert is a DRAM miss into a table far larger than cache;
+    // hashing kDistance keys ahead and prefetching both arrays' home
+    // lines overlaps those misses. The ring keeps each hashed bucket
+    // until its key's turn, as the scalar probe kernel does.
+    constexpr uint32_t kDistance = 32;
+    size_t ring[kDistance];
+    const auto hashAhead = [&](uint32_t i) {
+        const size_t bucket = bucketFor(n - 1 - i);
+        __builtin_prefetch(keys_.data() + bucket, 1);
+        __builtin_prefetch(slots_.data() + bucket, 1);
+        ring[i % kDistance] = bucket;
+    };
+    for (uint32_t i = 0; i < std::min(n, kDistance); ++i)
+        hashAhead(i);
+    for (uint32_t i = 0; i < n; ++i) {
+        const uint32_t key = n - 1 - i;
+        size_t bucket = ring[i % kDistance];
+        if (i + kDistance < n)
+            hashAhead(i + kDistance);
+        while (keys_[bucket] != kEmptyKey)
+            bucket = (bucket + 1) & mask_;
+        keys_[bucket] = key;
+        slots_[bucket] = key;
+    }
+    size_ = n;
+}
+
+void
 HitMap::erase(uint64_t key)
 {
     panicIf(key == kEmptyKey,

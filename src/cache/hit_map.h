@@ -71,6 +71,17 @@ class HitMap
      */
     void insert(uint64_t key, uint32_t slot);
 
+    /**
+     * Bulk-load keys n-1, ..., 0 with slot == key into this empty map:
+     * the warm-start resident set. Inserts in exactly that descending
+     * order, so the bucket arrays come out byte-identical to n
+     * descending insert(k, k) calls, but prefetches each home bucket
+     * a few dozen keys ahead and skips the per-insert grow check. The
+     * map must already be sized for n (HitMap(n) is); panics
+     * otherwise.
+     */
+    void loadIdentity(uint32_t n);
+
     /** Remove `key`; panics if absent (controller invariant). */
     void erase(uint64_t key);
 

@@ -37,11 +37,12 @@ ScratchPipeController::ScratchPipeController(const ControllerConfig &config)
                 "for the pre-resident rows)");
         fatalIf(config.num_slots > (1ull << 31),
                 "warm_start slot count out of row-ID range");
-        // Resident set = rows 0..num_slots-1 (the hottest ranks).
-        // Touch order makes slot 0 the MRU end, matching where a long
-        // LRU run on a rank-ordered Zipf trace converges.
+        // Resident set = rows 0..num_slots-1 (the hottest ranks), row
+        // k in slot k, bulk-loaded into the presized Hit-Map. Touch
+        // order makes slot 0 the MRU end, matching where a long LRU
+        // run on a rank-ordered Zipf trace converges.
+        map_.loadIdentity(config.num_slots);
         for (uint32_t slot = config.num_slots; slot-- > 0;) {
-            map_.insert(slot, slot);
             slot_key_[slot] = slot;
             policy_->touch(slot);
         }
@@ -285,15 +286,45 @@ ScratchPipeController::forEachResident(
     map_.forEach(fn);
 }
 
+namespace
+{
+
+/** worstCaseSlots() before narrowing, saturating instead of wrapping. */
+uint64_t
+worstCaseSlotsWide(uint32_t past_window, uint32_t future_window,
+                   size_t ids_per_batch)
+{
+    // Every batch in the window (past + current + future) may pin a
+    // fully distinct set of IDs.
+    const uint64_t batches = past_window + 1ull + future_window;
+    uint64_t slots = 0;
+    if (__builtin_mul_overflow(batches, uint64_t{ids_per_batch}, &slots))
+        return UINT64_MAX;
+    return slots;
+}
+
+/** Narrow a slot count, fatal()ing unless every slot index stays
+ *  below the Hit-Map's kNotFound sentinel. */
+uint32_t
+checkedSlotCount(uint64_t slots, const char *what)
+{
+    fatalIf(slots >= cache::HitMap::kNotFound, what, " needs ", slots,
+            " slots per table, more than the ",
+            cache::HitMap::kNotFound - 1ull,
+            " a 32-bit Storage slot index can address");
+    return static_cast<uint32_t>(slots);
+}
+
+} // namespace
+
 uint32_t
 ScratchPipeController::worstCaseSlots(uint32_t past_window,
                                       uint32_t future_window,
                                       size_t ids_per_batch)
 {
-    // Every batch in the window (past + current + future) may pin a
-    // fully distinct set of IDs.
-    const uint64_t batches = past_window + 1ull + future_window;
-    return static_cast<uint32_t>(batches * ids_per_batch);
+    return checkedSlotCount(
+        worstCaseSlotsWide(past_window, future_window, ids_per_batch),
+        "the worst-case capacity bound");
 }
 
 uint32_t
@@ -312,9 +343,11 @@ ScratchPipeController::provisionedSlots(double cache_fraction,
         1);
     if (enforce_bound) {
         slots = std::max<uint64_t>(
-            slots, worstCaseSlots(past_window, future_window, ids_per_batch));
+            slots,
+            worstCaseSlotsWide(past_window, future_window, ids_per_batch));
     }
-    return static_cast<uint32_t>(std::min<uint64_t>(slots, rows));
+    return checkedSlotCount(std::min<uint64_t>(slots, rows),
+                            "the scratchpad");
 }
 
 size_t

@@ -220,6 +220,7 @@ class ScratchPipeController
     /**
      * Minimum slots that guarantee plan() can never fail: every ID of
      * every batch in the window distinct (paper §VI-D worst case).
+     * fatal()s when that count does not fit below HitMap::kNotFound.
      */
     static uint32_t worstCaseSlots(uint32_t past_window,
                                    uint32_t future_window,
@@ -230,7 +231,8 @@ class ScratchPipeController
      * `cache_fraction` of the table (at least one slot), grown to
      * worstCaseSlots() when `enforce_bound` is set, and never more
      * than the table itself. fatal()s unless cache_fraction is in
-     * (0, 1]; NaN is rejected too.
+     * (0, 1] (NaN is rejected too), and when the resulting count does
+     * not fit below HitMap::kNotFound.
      */
     static uint32_t provisionedSlots(double cache_fraction, uint64_t rows,
                                      uint32_t past_window,

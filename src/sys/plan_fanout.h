@@ -3,8 +3,8 @@
  * Per-table [Plan] fan-out for the ScratchPipe timing model.
  *
  * ScratchPipeSystem runs one controller per table (at any GPU count);
- * the per-table plan calls are independent, so they fan out across
- * the worker pool. This helper owns the reusable scratch
+ * the per-table constructions and plan calls are independent, so they
+ * fan out across the worker pool. This helper owns the reusable scratch
  * (future-window span lists, per-table outcomes) and the fan-out
  * itself. Table t only writes slot t, keeping results bit-identical
  * to a serial table loop.
@@ -25,7 +25,9 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -85,6 +87,35 @@ class PlanFanout
         common::ThreadPool::Completion done_;
         const std::vector<TablePlanOutcome> *outcomes_ = nullptr;
     };
+
+    /**
+     * Build one controller per table from `config`, table t seeded
+     * 0x5eed + t. Construction fans out over the pool like the plans
+     * do -- a warm start fills each table's Hit-Map independently --
+     * and table t only writes entry t, so the result does not depend
+     * on scheduling.
+     */
+    static std::vector<core::ScratchPipeController>
+    makeControllers(const core::ControllerConfig &config, size_t num_tables)
+    {
+        std::vector<std::optional<core::ScratchPipeController>> built(
+            num_tables);
+        // parallelForAsync + wait rather than parallelFor: it also
+        // fans out on a one-worker pool (--jobs 1).
+        common::ThreadPool::global()
+            .parallelForAsync(num_tables,
+                              [&config, &built](size_t t) {
+                                  core::ControllerConfig table = config;
+                                  table.policy_seed = 0x5eed + t;
+                                  built[t].emplace(table);
+                              })
+            .wait();
+        std::vector<core::ScratchPipeController> controllers;
+        controllers.reserve(num_tables);
+        for (auto &controller : built)
+            controllers.push_back(std::move(*controller));
+        return controllers;
+    }
 
     /**
      * Launch batch `index`'s per-table plans on the pool and return

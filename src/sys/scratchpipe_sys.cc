@@ -73,12 +73,8 @@ ScratchPipeSystem::simulate(const data::TraceDataset &dataset,
             ? static_cast<uint32_t>(common::ThreadPool::global().size())
             : options_.plan_shards;
     cc.probe = options_.probe;
-    std::vector<core::ScratchPipeController> controllers;
-    controllers.reserve(trace.num_tables);
-    for (size_t t = 0; t < trace.num_tables; ++t) {
-        cc.policy_seed = 0x5eed + t;
-        controllers.emplace_back(cc);
-    }
+    std::vector<core::ScratchPipeController> controllers =
+        PlanFanout::makeControllers(cc, trace.num_tables);
 
     // Stage demand accumulators, averaged after the loop.
     const char *stage_names[6] = {"Load",     "Plan",   "Collect",

@@ -148,6 +148,30 @@ TEST(Controller, WorstCaseSlotsFormula)
     EXPECT_EQ(ScratchPipeController::worstCaseSlots(0, 0, 128), 128u);
 }
 
+TEST(Controller, SlotCountsAboveSlotIndexRangeAreFatal)
+{
+    // Regression: both sizing helpers used to narrow to uint32_t
+    // unchecked. 0.6 x 2^33 rows wrapped to 858993459 slots, a full
+    // 2^32-row table to 0, and a 6 x 2^30 worst case to 2^31.
+    EXPECT_THROW(ScratchPipeController::provisionedSlots(
+                     0.6, 1ull << 33, 3, 2, 40960, true),
+                 FatalError);
+    EXPECT_THROW(ScratchPipeController::provisionedSlots(
+                     1.0, 1ull << 32, 3, 2, 40960, true),
+                 FatalError);
+    EXPECT_THROW(ScratchPipeController::worstCaseSlots(3, 2, 1ull << 30),
+                 FatalError);
+    // The largest count every slot index of which stays below
+    // HitMap::kNotFound still passes, and so does a bound the table
+    // size clamps back into range.
+    EXPECT_EQ(ScratchPipeController::provisionedSlots(
+                  1.0, cache::HitMap::kNotFound - 1ull, 3, 2, 40960, true),
+              cache::HitMap::kNotFound - 1u);
+    EXPECT_EQ(ScratchPipeController::provisionedSlots(
+                  0.1, 1000, 3, 2, 1ull << 30, true),
+              1000u);
+}
+
 TEST(Controller, WorstCaseSlotsSufficeForAdversarialTrace)
 {
     // Every batch entirely distinct: the §VI-D bound must be exactly

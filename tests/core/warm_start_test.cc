@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <span>
 #include <vector>
 
+#include "cache/hit_map.h"
 #include "common/logging.h"
 #include "core/controller.h"
 #include "tensor/rng.h"
@@ -75,6 +77,41 @@ TEST(WarmStart, FillsEqualEvictionsFromTheStart)
     const auto &stats = controller.stats();
     EXPECT_EQ(stats.fills, stats.evictions);
     EXPECT_GT(stats.fills, 0u);
+}
+
+TEST(WarmStart, BulkLoadLayoutMatchesDescendingInserts)
+{
+    // The bulk load must leave the exact bucket arrays of the insert
+    // loop it replaced, so forEach order and probe-chain lengths (and
+    // with them every downstream result) are unchanged.
+    for (const uint32_t n : {1u, 17u, 1000u, 1u << 20}) {
+        cache::HitMap inserted(n);
+        for (uint32_t k = n; k-- > 0;)
+            inserted.insert(k, k);
+        cache::HitMap loaded(n);
+        loaded.loadIdentity(n);
+
+        ASSERT_EQ(loaded.size(), inserted.size()) << n;
+        ASSERT_EQ(loaded.capacity(), inserted.capacity()) << n;
+        const cache::ProbeTable a = inserted.probeTable();
+        const cache::ProbeTable b = loaded.probeTable();
+        const size_t buckets = a.mask + 1;
+        EXPECT_EQ(std::memcmp(a.keys, b.keys, buckets * sizeof(uint64_t)),
+                  0)
+            << "key array differs at n = " << n;
+        EXPECT_EQ(std::memcmp(a.slots, b.slots, buckets * sizeof(uint32_t)),
+                  0)
+            << "slot array differs at n = " << n;
+    }
+}
+
+TEST(WarmStart, BulkLoadNeedsEmptyPresizedMap)
+{
+    cache::HitMap small(4); // 16 buckets: room for 11 keys
+    EXPECT_THROW(small.loadIdentity(12), PanicError);
+    small.loadIdentity(11);
+    EXPECT_EQ(small.find(10), 10u);
+    EXPECT_THROW(small.loadIdentity(1), PanicError);
 }
 
 TEST(WarmStart, DenseBackingRejected)
