@@ -248,7 +248,8 @@ main(int argc, char **argv)
     args.addInt("jobs", 0,
                 "worker threads for every parallel site (trace "
                 "generation, per-table planning, --parallel sweeps); "
-                "0 = all cores, 1 = fully serial");
+                "0 = all cores, 1 = one worker beside the calling "
+                "thread");
     args.addBool("no-trace-cache",
                  "regenerate the trace instead of serving it from the "
                  "content-addressed cache (SP_TRACE_CACHE, default "
