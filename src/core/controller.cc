@@ -23,13 +23,24 @@ ScratchPipeController::ScratchPipeController(const ControllerConfig &config)
       holds_(config.num_slots, config.past_window, config.future_window),
       policy_(cache::makePolicy(config.policy, config.policy_seed)),
       storage_(config.num_slots, config.dim, config.backing),
-      slot_key_(config.num_slots, kNoKey)
+      slot_key_(config.num_slots, kNoKey),
+      hints_(config.future_window),
+      far_ids_(config.future_window == 0
+                   ? 0
+                   : std::max<uint32_t>(1, config.future_window - 1)),
+      far_batch_(far_ids_.size(), kNoBatch)
 {
     fatalIf(config.num_slots == 0,
             "ScratchPipe controller needs at least one slot");
     fatalIf(config.dim == 0, "embedding dimension must be positive");
     map_.setProbeMode(config.probe);
     policy_->reset(config.num_slots);
+    // Presize the window scratch so that no plan() grows it.
+    probe_.reserve(config.ids_per_batch);
+    for (auto &hint : hints_)
+        hint.reserve(config.ids_per_batch);
+    for (auto &ids : far_ids_)
+        ids.reserve(config.ids_per_batch);
 
     if (config.warm_start) {
         fatalIf(storage_.isDense(),
@@ -60,13 +71,14 @@ ScratchPipeController::shardsFor(size_t n) const
 
 void
 ScratchPipeController::markPass(std::span<const uint64_t> ids,
-                                uint32_t future_distance)
+                                uint32_t future_distance,
+                                std::vector<uint32_t> &out)
 {
-    probe_.resize(ids.size());
+    out.resize(ids.size());
     const uint32_t shards = shardsFor(ids.size());
     if (shards <= 1) {
-        map_.findMany(ids, probe_);
-        for (const uint32_t slot : probe_) {
+        map_.findMany(ids, out);
+        for (const uint32_t slot : out) {
             if (slot == cache::HitMap::kNotFound)
                 continue;
             if (future_distance == 0)
@@ -78,7 +90,7 @@ ScratchPipeController::markPass(std::span<const uint64_t> ids,
     }
 
     // Contiguous ID ranges, one per shard: shard s probes its range
-    // into the matching range of probe_ (slot i from call i, exactly
+    // into the matching range of `out` (slot i from call i, exactly
     // the single-findMany layout) and applies its own marks through
     // the atomic markers. The Hit-Map is read-only for the whole
     // pass, and mark bits OR in commutatively, so the merged result
@@ -86,14 +98,14 @@ ScratchPipeController::markPass(std::span<const uint64_t> ids,
     const size_t chunk = (ids.size() + shards - 1) / shards;
     common::ThreadPool::global().parallelFor(
         shards,
-        [this, ids, future_distance, chunk](size_t s) {
+        [this, ids, future_distance, chunk, &out](size_t s) {
             const size_t begin = s * chunk;
             const size_t end = std::min(ids.size(), begin + chunk);
             if (begin >= end)
                 return;
             const auto sub_ids = ids.subspan(begin, end - begin);
             const auto sub_out =
-                std::span<uint32_t>(probe_).subspan(begin, end - begin);
+                std::span<uint32_t>(out).subspan(begin, end - begin);
             map_.findMany(sub_ids, sub_out);
             for (const uint32_t slot : sub_out) {
                 if (slot == cache::HitMap::kNotFound)
@@ -135,6 +147,31 @@ ScratchPipeController::probePass(std::span<const uint64_t> ids)
         shards - 1);
 }
 
+bool
+ScratchPipeController::carriedMarks(uint64_t batch,
+                                    std::span<const uint64_t> ids) const
+{
+    if (far_ids_.empty() || config_.future_window > config_.past_window)
+        return false;
+    const size_t far = batch % far_ids_.size();
+    // By content, never by span identity: callers may refill one
+    // buffer with a different batch between plans.
+    if (far_batch_[far] != batch ||
+        !std::equal(ids.begin(), ids.end(), far_ids_[far].begin(),
+                    far_ids_[far].end()))
+        return false;
+    if constexpr (kCheckedInvariants) {
+        for (const uint64_t id : ids) {
+            const uint32_t slot = map_.find(id);
+            SP_ASSERT(slot == cache::HitMap::kNotFound ||
+                          holds_.isHeld(slot),
+                      "skipped mark pass left resident id ", id,
+                      " of batch ", batch, " unheld in slot ", slot);
+        }
+    }
+    return true;
+}
+
 const PlanResult &
 ScratchPipeController::plan(
     std::span<const uint64_t> current_ids,
@@ -159,34 +196,64 @@ ScratchPipeController::plan(
     // row a later lookup of this very window still needs.
     //
     // With future_window >= 2 the current pre-mark pass is redundant:
-    // every resident row of this batch was already future-marked by
-    // the previous two plans (each scanned this batch at distance 1
-    // and 2 *before* selecting its own victims), or current-marked by
-    // the plan that inserted it within the past window. Narrower
-    // windows (the straw-man's 0) lack that cover, so the pass stays.
+    // every resident row of this batch was already future-marked for
+    // it (at distances 1 and 2, each mark set *before* that plan
+    // selected its own victims), or current-marked by the plan that
+    // inserted it within the past window. Narrower windows (the
+    // straw-man's 0) lack that cover, so the pass stays.
+    //
     // Probe latency against the multi-MB Hit-Map dominates planning
-    // at paper scale; every scan goes through the software-pipelined
-    // batched probe, split into plan_shards ID ranges over the worker
-    // pool when the controller is configured to shard.
-    if (config_.future_window < 2)
-        markPass(current_ids, 0);
+    // at paper scale, so each batch is probed once, at the far edge
+    // (distance F = future_window), and that probe is carried
+    // forward. A nearer pass marks nothing new when its IDs equal the
+    // far-edge copy of the same batch and F <= past_window: a row
+    // resident at the far-edge probe still holds that mark (shifted
+    // to exactly the bit this pass would set, and it kept the row
+    // from eviction since), and a row filled since carries the
+    // current mark of its fill, which outlives the batch's own plan
+    // because at most F <= past_window plans have passed. Victim
+    // eligibility is therefore the same at every choice, and the
+    // masks converge once the batch's own classify marks its rows
+    // current. Every pass that does run goes through the
+    // software-pipelined batched probe, split into plan_shards ID
+    // ranges over the worker pool when the controller shards.
+    const uint32_t fw = config_.future_window;
+    const uint64_t batch = stats_.plans;
+    if (fw > 0)
+        probe_.swap(hints_[batch % fw]);
+    if (fw < 2 && !carriedMarks(batch, current_ids))
+        markPass(current_ids, 0, probe_);
     const uint32_t window =
-        std::min<uint32_t>(config_.future_window,
-                           static_cast<uint32_t>(future_ids.size()));
-    for (uint32_t d = 1; d <= window; ++d)
-        markPass(future_ids[d - 1], d);
+        std::min<uint32_t>(fw, static_cast<uint32_t>(future_ids.size()));
+    for (uint32_t d = 1; d <= window; ++d) {
+        const auto ids = future_ids[d - 1];
+        if (d < fw && carriedMarks(batch + d, ids))
+            continue;
+        markPass(ids, d, hints_[(batch + d) % fw]);
+        if (d == fw) {
+            const size_t far = (batch + d) % far_ids_.size();
+            far_ids_[far].assign(ids.begin(), ids.end());
+            far_batch_[far] = batch + d;
+        }
+    }
 
     // splint:hot-path-begin(plan-classify)
     // Step C: classify the current batch and assign victims to misses.
-    // The batched pre-probe is taken before any insert/erase of this
-    // pass, so each result needs an O(1) revalidation against the live
-    // state: a pre-probe miss may have been filled by an earlier
-    // duplicate of the same ID, and a pre-probe hit may have been
-    // evicted by an earlier miss (possible only while hold marks are
-    // still warming up, e.g. the first plans after warm_start). Both
-    // cases fall back to a live probe, so the outcome is exactly what
-    // the old one-find-per-ID loop produced.
-    probePass(current_ids);
+    // The pre-probe is the latest carried probe of this batch (from
+    // its far-edge pass up to F plans ago, or a nearer pass that ran
+    // since), or a fresh batched probe when none of the right size
+    // exists. Either way it predates this pass's inserts and
+    // erases, and a carried one also predates the F plans in between,
+    // so each result needs an O(1) revalidation against the live
+    // state: a pre-probe miss may have been filled since (by an
+    // earlier duplicate of the same ID, or by an intervening plan),
+    // and a pre-probe hit may have been evicted since. A hit is
+    // accepted only while slot_key_ still maps its slot to the ID;
+    // every other case falls back to a live probe, so the outcome is
+    // exactly what the old one-find-per-ID loop produced, whatever
+    // the hint held.
+    if (probe_.size() != current_ids.size())
+        probePass(current_ids);
     for (size_t i = 0; i < current_ids.size(); ++i) {
         const uint64_t id = current_ids[i];
         uint32_t slot = probe_[i];

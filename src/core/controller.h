@@ -3,9 +3,12 @@
  * The ScratchPipe cache controller (one instance per embedding table).
  *
  * Implements Algorithm 1 of the paper: on every [Plan] invocation the
- * controller advances the Hold masks, queries the Hit-Map for the
- * current mini-batch's sparse IDs, assigns hold-mask-eligible victim
- * slots to the misses, and pre-marks the future window. The returned
+ * controller advances the Hold masks, pre-marks the future window,
+ * classifies the current mini-batch's sparse IDs against the Hit-Map
+ * and assigns hold-mask-eligible victim slots to the misses. Each
+ * batch is probed once, when it enters the window at distance
+ * future_window; that probe's marks and results are carried forward
+ * until the batch becomes current (see plan()). The returned
  * PlanResult is the complete data-movement schedule for the batch's
  * remaining pipeline stages:
  *
@@ -83,6 +86,15 @@ struct ControllerConfig
      * values for the pre-resident rows.
      */
     bool warm_start = false;
+    /**
+     * IDs of one batch for this table (TraceConfig::idsPerTable()).
+     * Sizes the host-side window scratch -- the carried probe results
+     * and the far-edge ID copy -- at construction, so plan() never
+     * grows it. At 0 the buffers grow on the first plans instead.
+     * Simulator scratch, not modelled GPU state: metadataBytes()
+     * does not count it.
+     */
+    size_t ids_per_batch = 0;
 };
 
 /** One scheduled Storage fill: CPU row -> scratchpad slot. */
@@ -148,6 +160,18 @@ class ScratchPipeController
      * @param future_ids  The next batches' ID spans, nearest first; at
      *                    most future_window entries are consulted
      *                    (fewer near the end of the trace).
+     *
+     * Each batch is probed once, when it enters the window at
+     * distance future_window: that pass stores its probe results and
+     * a copy of the IDs. While the window slides by one plan at a time
+     * -- a nearer future batch equals, by content, the copy taken
+     * when it entered -- its mark pass is skipped, because every
+     * resident row of it still carries the far-edge mark or the
+     * current mark of its fill (needs future_window <= past_window).
+     * When the batch becomes current, the carried results serve as
+     * its classify pre-probe. As long as each future batch is later
+     * planned as current, as trace-driven callers do, the plans are
+     * identical to probing every batch at every distance.
      *
      * Returns a reference to per-controller scratch that is reused
      * (capacity retained, so the steady-state hot path allocates
@@ -249,18 +273,28 @@ class ScratchPipeController
     uint32_t shardsFor(size_t n) const;
 
     /**
-     * One sharded mark pass: probe `ids` into probe_ (slot i from
-     * call i, exactly as a single findMany) and mark every hit --
+     * One sharded mark pass: probe `ids` into `out` (slot i from call
+     * i, exactly as a single findMany) and mark every hit --
      * markCurrent when `future_distance` is 0, markFuture(distance)
      * otherwise. Marks are commutative OR-bits applied through the
      * HoldMask's shared (atomic) markers when sharded, so the
      * resulting masks equal the serial pass bit for bit.
      */
-    void markPass(std::span<const uint64_t> ids, uint32_t future_distance);
+    void markPass(std::span<const uint64_t> ids, uint32_t future_distance,
+                  std::vector<uint32_t> &out);
 
     /** Sharded map_.findMany(ids, probe_) without marking (the
-     *  classify pre-probe). */
+     *  classify pre-probe when no carried result fits). */
     void probePass(std::span<const uint64_t> ids);
+
+    /**
+     * True when the mark pass for batch `batch` (IDs `ids`) may be
+     * skipped: the window is no wider than past_window and `ids`
+     * equal, by content, the copy taken when that batch was probed
+     * at the far edge. SP_CHECK builds then assert that every
+     * resident slot of `ids` is already held.
+     */
+    bool carriedMarks(uint64_t batch, std::span<const uint64_t> ids) const;
 
     ControllerConfig config_;
     cache::HitMap map_;
@@ -274,6 +308,18 @@ class ScratchPipeController
     // the steady-state hot path performs no heap allocation.
     PlanResult plan_;
     std::vector<uint32_t> probe_;
+    // Window carry (see plan()), indexed by batch number, where the
+    // current batch is number stats_.plans: hints_[b % F] holds the
+    // latest Hit-Map probe of batch b (swapped into probe_ when b
+    // becomes current). far_ids_ keeps the IDs of the last max(1, F-1)
+    // far-edge passes -- the batches whose nearer passes may still be
+    // skipped -- at b % size, and far_batch_ the batch number of each
+    // copy (kNoBatch until one is taken). Host scratch, sized once
+    // from ids_per_batch.
+    static constexpr uint64_t kNoBatch = ~0ull;
+    std::vector<std::vector<uint32_t>> hints_;
+    std::vector<std::vector<uint64_t>> far_ids_;
+    std::vector<uint64_t> far_batch_;
 };
 
 } // namespace sp::core

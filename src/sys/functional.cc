@@ -321,6 +321,7 @@ FunctionalScratchPipeTrainer::FunctionalScratchPipeTrainer(
             ? static_cast<uint32_t>(common::ThreadPool::global().size())
             : options.plan_shards;
     cc.probe = options.probe;
+    cc.ids_per_batch = config_.trace.idsPerTable();
     controllers_.reserve(config_.trace.num_tables);
     for (size_t t = 0; t < config_.trace.num_tables; ++t) {
         cc.policy_seed = 0x5eed + t;

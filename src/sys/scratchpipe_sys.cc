@@ -73,6 +73,7 @@ ScratchPipeSystem::simulate(const data::TraceDataset &dataset,
             ? static_cast<uint32_t>(common::ThreadPool::global().size())
             : options_.plan_shards;
     cc.probe = options_.probe;
+    cc.ids_per_batch = n_per_table;
     std::vector<core::ScratchPipeController> controllers =
         PlanFanout::makeControllers(cc, trace.num_tables);
 

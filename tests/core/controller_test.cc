@@ -235,6 +235,58 @@ TEST(Controller, FutureIdsNeverEvicted)
     }
 }
 
+TEST(Controller, RefilledWindowBufferStillMarksNearBatch)
+{
+    // The window carry skips a near mark pass only when the batch's
+    // IDs equal, by content, the copy taken when it entered the
+    // window. Warm 8-slot LRU scratchpad: slot 7 is the LRU end, then
+    // slot 6. Plan 0 fills its one miss into slot 7; the next plan's
+    // near batch is row 6 -- resident, so it must be held, and its
+    // own miss must take slot 5 instead.
+    auto config = baseConfig(8, 2, 2);
+    config.backing = cache::SlotArray::Backing::Phantom;
+    config.warm_start = true;
+    const auto expectNearRowHeld = [](ScratchPipeController &controller,
+                                      const PlanResult &plan) {
+        ASSERT_TRUE(controller.isResident(6));
+        EXPECT_TRUE(controller.holdMask().isHeld(controller.slotOf(6)));
+        ASSERT_EQ(plan.evictions.size(), 1u);
+        EXPECT_EQ(plan.evictions[0].id, 5u);
+    };
+
+    {
+        // One buffer refilled between plans: plan 0's far batch and
+        // plan 1's near batch are the same span, different IDs.
+        ScratchPipeController controller(config);
+        std::vector<uint64_t> near = {101};
+        std::vector<uint64_t> buffer = {102};
+        const std::vector<uint64_t> current0 = {100};
+        const std::vector<std::span<const uint64_t>> futures0 = {near,
+                                                                 buffer};
+        controller.plan(current0, futures0);
+        buffer = {6};
+        const std::vector<uint64_t> current1 = {101};
+        const std::vector<uint64_t> far = {103};
+        const std::vector<std::span<const uint64_t>> futures1 = {buffer,
+                                                                 far};
+        ASSERT_EQ(futures1[0].data(), futures0[1].data());
+        expectNearRowHeld(controller, controller.plan(current1, futures1));
+    }
+    {
+        // The caller skips batches: plans 0, then 5.
+        ScratchPipeController controller(config);
+        const std::vector<std::vector<uint64_t>> batches = {
+            {100}, {101}, {102}, {103}, {104}, {105}, {6}, {107}};
+        const std::vector<std::span<const uint64_t>> futures0 = {
+            batches[1], batches[2]};
+        controller.plan(batches[0], futures0);
+        const std::vector<std::span<const uint64_t>> futures5 = {
+            batches[6], batches[7]};
+        expectNearRowHeld(controller,
+                          controller.plan(batches[5], futures5));
+    }
+}
+
 TEST(Controller, HitRateTracksLocality)
 {
     auto run_trace = [](uint64_t id_space) {
