@@ -17,9 +17,8 @@
  *   plan       per-table ScratchPipeController::plan fan-out, reported
  *              as planned IDs/s (the controller hot path: batched
  *              Hit-Map probes + allocation-free PlanResult), measured
- *              at four engine modes -- plain fan-out, two-deep
- *              pipeline (batch i+1 planning under batch i's
- *              accounting), sharded mark passes, and both combined;
+ *              at two engine modes -- plain fan-out and sharded mark
+ *              passes;
  *   probe      the batched Hit-Map probe kernels over a hit-rate x
  *              load-factor grid, scalar reference vs the runtime-
  *              dispatched SIMD kernel (fingerprint cross-checked);
@@ -194,11 +193,11 @@ benchWorkloadGen(const sys::ModelConfig &model, uint64_t batches,
 }
 
 /** One full pass of per-table planning over `dataset` at the given
- *  engine mode (two-deep pipeline on/off, mark-pass shard width);
- *  returns the total hit count as a determinism fingerprint. */
+ *  mark-pass shard width; returns the total hit count as a
+ *  determinism fingerprint. */
 uint64_t
 planPass(const sys::ModelConfig &model, const data::TraceDataset &dataset,
-         bool overlap, uint32_t shards)
+         uint32_t shards)
 {
     const auto &trace = model.trace;
     core::ControllerConfig cc;
@@ -218,23 +217,18 @@ planPass(const sys::ModelConfig &model, const data::TraceDataset &dataset,
     }
 
     // The same fan-out the timing systems use, so the bench measures
-    // the production planning path. The "accounting" here is the hit
-    // reduction, which the pipelined mode overlaps with the next
-    // batch's plans exactly as the systems do.
+    // the production planning path.
     sys::PlanFanout fanout(trace.num_tables, cc.future_window);
     uint64_t total = 0;
-    fanout.forEachBatch(
-        controllers, dataset, dataset.numBatches(), overlap,
-        [&total](uint64_t,
-                 const std::vector<sys::TablePlanOutcome> &outcomes) {
-            for (const auto &outcome : outcomes)
-                total += outcome.hits;
-        });
+    for (uint64_t i = 0; i < dataset.numBatches(); ++i) {
+        for (const auto &outcome : fanout.run(controllers, dataset, i))
+            total += outcome.hits;
+    }
     return total;
 }
 
 /** The plan-throughput family: the same pass at every engine mode,
- *  all against one serial (width-1, unsharded, unpipelined) baseline,
+ *  all against one serial (width-1, unsharded) baseline,
  *  with the fingerprints cross-checked. */
 std::vector<BenchResult>
 benchPlanning(const sys::ModelConfig &model, uint64_t batches, size_t jobs,
@@ -248,19 +242,16 @@ benchPlanning(const sys::ModelConfig &model, uint64_t batches, size_t jobs,
 
     uint64_t serial_hits = 0;
     const double serial_s = timeAtWidth(1, reps, [&] {
-        serial_hits = planPass(model, dataset, false, 1);
+        serial_hits = planPass(model, dataset, 1);
     });
 
     const struct
     {
         const char *name;
-        bool overlap;
         uint32_t shards;
     } modes[] = {
-        {"plan_fanout", false, 1},
-        {"plan_pipelined", true, 1},
-        {"plan_sharded", false, shards},
-        {"plan_pipelined_sharded", true, shards},
+        {"plan_fanout", 1},
+        {"plan_sharded", shards},
     };
 
     std::vector<BenchResult> results;
@@ -272,7 +263,7 @@ benchPlanning(const sys::ModelConfig &model, uint64_t batches, size_t jobs,
         result.serial_s = serial_s;
         uint64_t hits = 0;
         result.parallel_s = timeAtWidth(jobs, reps, [&] {
-            hits = planPass(model, dataset, mode.overlap, mode.shards);
+            hits = planPass(model, dataset, mode.shards);
         });
         fatalIf(hits != serial_hits, mode.name,
                 " diverged from serial planning: ", hits, " hits vs ",

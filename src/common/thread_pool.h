@@ -16,11 +16,12 @@
  *   parallelForAsync(n,fn)
  *                     the same index space, but the call returns a
  *                     Completion token immediately so the caller can
- *                     overlap its own work with the fan-out (the
- *                     engine's two-deep planning pipeline). wait() is
- *                     the phase barrier: the caller drains whatever
- *                     indices the workers have not picked up, so
- *                     completion never depends on pool capacity.
+ *                     overlap its own work with the fan-out; unlike
+ *                     parallelFor it enqueues workers on a one-worker
+ *                     pool too. wait() is the phase barrier: the
+ *                     caller drains whatever indices the workers have
+ *                     not picked up, so completion never depends on
+ *                     pool capacity.
  *
  * Every parallel site in this codebase writes result i from call
  * fn(i) only, so outputs are bit-identical to a serial loop no matter
@@ -144,10 +145,11 @@ class ThreadPool
     /**
      * Start fn(0..n-1) on up to min(size(), n, max_helpers) workers
      * and return immediately; the caller joins the fan-out only when
-     * it wait()s the returned token. Used by the two-deep planning
-     * pipeline: batch i+1's plans fan out here while the caller
-     * reduces batch i's outcomes. Results are written slot-i-from-
-     * call-i by every site, so scheduling never changes outputs.
+     * it wait()s the returned token. Unlike parallelFor it enqueues
+     * worker tasks on a pool of width 1 too, which is why
+     * PlanFanout's controller builds and per-batch plans use it (and
+     * wait at once). Results are written slot-i-from-call-i by every
+     * site, so scheduling never changes outputs.
      */
     Completion parallelForAsync(size_t n, std::function<void(size_t)> fn,
                                 size_t max_helpers = SIZE_MAX);

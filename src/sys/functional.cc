@@ -316,11 +316,6 @@ FunctionalScratchPipeTrainer::FunctionalScratchPipeTrainer(
     cc.future_window = fw;
     cc.policy = options.policy;
     cc.backing = cache::SlotArray::Backing::Dense;
-    cc.plan_shards =
-        options.plan_shards == 0
-            ? static_cast<uint32_t>(common::ThreadPool::global().size())
-            : options.plan_shards;
-    cc.probe = options.probe;
     cc.ids_per_batch = config_.trace.idsPerTable();
     controllers_.reserve(config_.trace.num_tables);
     for (size_t t = 0; t < config_.trace.num_tables; ++t) {

@@ -159,19 +159,6 @@ class FunctionalScratchPipeTrainer
         bool enforce_capacity_bound = true;
         /** Run the per-cycle hazard auditor (pipelined mode only). */
         bool audit = true;
-        /**
-         * Mark-pass probe shards per controller (see
-         * ControllerConfig::plan_shards); 0 = one shard per pool
-         * thread, matching the shard= spec key. Engine knob only:
-         * training results are bit-identical at any width.
-         */
-        uint32_t plan_shards = 1;
-        /**
-         * Batched Hit-Map probe kernel (ControllerConfig::probe),
-         * matching the probe= spec key. Engine knob only: every
-         * kernel is bit-identical.
-         */
-        cache::ProbeMode probe = cache::ProbeMode::Auto;
     };
 
     FunctionalScratchPipeTrainer(const ModelConfig &config,

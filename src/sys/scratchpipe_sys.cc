@@ -107,8 +107,7 @@ ScratchPipeSystem::simulate(const data::TraceDataset &dataset,
 
     // Demand/traffic accounting for one measured batch: a pure
     // reduction over that batch's per-table outcomes into the stage
-    // accumulators. Nothing here touches the controllers, which is
-    // what lets the next batch's plans overlap it.
+    // accumulators.
     const auto account = [&](uint64_t i,
                              const std::vector<TablePlanOutcome>
                                  &outcomes) {
@@ -216,16 +215,12 @@ ScratchPipeSystem::simulate(const data::TraceDataset &dataset,
 
     // Warm-up batches run through the controllers (populating the
     // scratchpad toward steady state, as the paper's measurements do)
-    // but contribute nothing to the timing accumulators. With
-    // overlap_planning, batch i+1's plans fan out while batch i's
-    // outcomes reduce into the accumulators on this thread.
-    fanout.forEachBatch(
-        controllers, dataset, warmup + iterations,
-        options_.overlap_planning,
-        [&](uint64_t i, const std::vector<TablePlanOutcome> &outcomes) {
-            if (i >= warmup)
-                account(i, outcomes);
-        });
+    // but contribute nothing to the timing accumulators.
+    for (uint64_t i = 0; i < warmup + iterations; ++i) {
+        const auto &outcomes = fanout.run(controllers, dataset, i);
+        if (i >= warmup)
+            account(i, outcomes);
+    }
 
     // Average demands over the measured iterations.
     const double inv = 1.0 / static_cast<double>(iterations);

@@ -83,16 +83,6 @@ struct ScratchPipeOptions
      */
     bool warm_start = true;
     /**
-     * Engine knob (no effect on modeled timings): overlap batch
-     * i+1's per-table [Plan] fan-out with batch i's demand/traffic
-     * accounting -- the simulator's two-deep software pipeline.
-     * Accounting is a pure reduction over the previous batch's
-     * outcomes, so results are bit-identical with or without the
-     * overlap; this only changes how the host schedules the work.
-     * Spec key: overlap=0/1.
-     */
-    bool overlap_planning = true;
-    /**
      * Engine knob: shard each table's Hit-Map mark-pass probes into
      * this many contiguous ID ranges over the worker pool
      * (ControllerConfig::plan_shards). 1 = unsharded; 0 = one shard

@@ -107,9 +107,6 @@ SystemSpec::parse(const std::string &text)
         } else if (key == "bound") {
             spec.scratchpipe.enforce_capacity_bound = parseBool(key, value);
             spec.scratchpipe_tuned = true;
-        } else if (key == "overlap") {
-            spec.scratchpipe.overlap_planning = parseBool(key, value);
-            spec.scratchpipe_tuned = true;
         } else if (key == "shard") {
             spec.scratchpipe.plan_shards = parseWindow(key, value);
             spec.scratchpipe_tuned = true;
@@ -156,8 +153,8 @@ SystemSpec::parse(const std::string &text)
             spec.serve_tuned = true;
         } else {
             fatal("system spec: unknown key '", key, "' in '", text,
-                  "' (cache/policy/past/future/warm/bound/overlap/"
-                  "shard/probe or serving keys arrival/rate/batch_max/"
+                  "' (cache/policy/past/future/warm/bound/shard/"
+                  "probe or serving keys arrival/rate/batch_max/"
                   "budget_us/refresh/burst_x/burst_on_us/"
                   "burst_off_us)");
         }
@@ -194,7 +191,6 @@ SystemSpec::summary() const
         emit("future", std::to_string(scratchpipe.future_window));
         emit("warm", scratchpipe.warm_start ? "1" : "0");
         emit("bound", scratchpipe.enforce_capacity_bound ? "1" : "0");
-        emit("overlap", scratchpipe.overlap_planning ? "1" : "0");
         emit("shard", std::to_string(scratchpipe.plan_shards));
         emit("probe", cache::probeModeName(scratchpipe.probe));
     }
@@ -228,8 +224,7 @@ SystemSpec::validate() const
     }
     fatalIf(scratchpipe_tuned && !entry.uses_scratchpipe_options,
             "system '", name, "' has no scratchpad; "
-            "policy/past/future/warm/bound/overlap/shard/probe do not "
-            "apply");
+            "policy/past/future/warm/bound/shard/probe do not apply");
     fatalIf(serve_tuned && !entry.uses_serve_options,
             "system '", name, "' does not serve requests; "
             "arrival/rate/batch_max/budget_us/refresh/burst_x/"

@@ -12,9 +12,8 @@
  *   "hybrid"
  *   "static:cache=0.02"
  *   "scratchpipe:cache=0.05,policy=lfu,past=4,future=2,warm=0"
- *   "scratchpipe:overlap=1,shard=8"   (engine knobs: two-deep plan
- *                                      pipeline / mark-pass shards --
- *                                      bit-identical results, perf
+ *   "scratchpipe:shard=8"             (engine knob: mark-pass shards
+ *                                      -- bit-identical results, perf
  *                                      only)
  *   "scratchpipe:probe=scalar"        (pin the batched Hit-Map probe
  *                                      kernel: auto|scalar|native;
@@ -62,7 +61,7 @@ struct SystemSpec
     ScratchPipeOptions scratchpipe;
 
     /** True when any scratchpad-only key (policy/past/future/warm/
-     *  bound/overlap/shard/probe) was explicitly given; lets
+     *  bound/shard/probe) was explicitly given; lets
      *  validate() reject them on systems that have no scratchpad. */
     bool scratchpipe_tuned = false;
 
@@ -78,7 +77,7 @@ struct SystemSpec
 
     /**
      * Parse "name[:key=value,...]". Keys: cache, policy, past, future,
-     * warm, bound, overlap, shard, probe, and the serving keys
+     * warm, bound, shard, probe, and the serving keys
      * arrival, rate, batch_max, budget_us, refresh, burst_x,
      * burst_on_us, burst_off_us. fatal() on unknown keys or malformed
      * values; the system name itself is checked by

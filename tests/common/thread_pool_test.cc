@@ -127,8 +127,7 @@ TEST(ThreadPool, AsyncOverlapsCallerWork)
 {
     // The point of the token: the caller keeps doing its own work
     // between launch and wait(), and both sides' results are intact
-    // at the barrier -- the engine's two-deep planning pipeline in
-    // miniature.
+    // at the barrier.
     ThreadPool pool(2);
     std::vector<uint64_t> out(512);
     auto token = pool.parallelForAsync(
@@ -182,7 +181,7 @@ TEST(ThreadPool, AsyncErrorSkipsRemainingIndicesButRetiresThem)
 TEST(ThreadPool, AsyncDropAfterErrorDoesNotTerminate)
 {
     // Dropping a token whose body threw must swallow the error in the
-    // destructor (the pipeline only abandons a token while unwinding
+    // destructor (a caller only abandons a token while unwinding
     // from the same root cause), never std::terminate.
     ThreadPool pool(2);
     {

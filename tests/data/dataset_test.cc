@@ -33,7 +33,16 @@ smallConfig()
 class TempFile
 {
   public:
-    TempFile() : path_(::testing::TempDir() + "/sp_trace_test.bin") {}
+    // One file per test: ctest runs each test in its own process, so
+    // a shared name would let one test delete another's file.
+    TempFile()
+        : path_(::testing::TempDir() + "/sp_trace_test_" +
+                ::testing::UnitTest::GetInstance()
+                    ->current_test_info()
+                    ->name() +
+                ".bin")
+    {
+    }
     ~TempFile() { std::remove(path_.c_str()); }
     const std::string &path() const { return path_; }
 

@@ -343,8 +343,15 @@ class ReplayTest : public ::testing::Test
   protected:
     void SetUp() override
     {
+        // One file per test: ctest runs each test in its own
+        // process, so a shared name would let one test delete
+        // another's file.
         path_ = (fs::path(::testing::TempDir()) /
-                 "sp_workload_replay.trace")
+                 (std::string("sp_workload_replay_") +
+                  ::testing::UnitTest::GetInstance()
+                      ->current_test_info()
+                      ->name() +
+                  ".trace"))
                     .string();
         fs::remove(path_);
     }

@@ -1,11 +1,11 @@
 /**
  * @file
- * Property tests of the sharded + pipelined planning engine.
+ * Property tests of the sharded planning engine.
  *
  * The exact-equivalence contract: for ANY model geometry, locality,
  * policy, window shape, and cache size, planning with the mark passes
- * sharded over the pool and batches pipelined two deep produces
- * byte-identical results to a fully serial run. Configurations are
+ * sharded over the pool produces byte-identical results to a fully
+ * serial run. Configurations are
  * drawn from a seeded RNG so every run covers the same (arbitrary)
  * corner of the space, and the comparison is RunResult::toJson --
  * the same serialisation the CLI and goldens use -- plus a
@@ -99,12 +99,12 @@ TEST(PlanShardEquivalence, RandomConfigsByteIdenticalAcrossShardWidths)
 
         for (const char *system : {"scratchpipe", "strawman"}) {
             const std::string serial_spec =
-                std::string(system) + ":" + base + ",overlap=0,shard=1";
+                std::string(system) + ":" + base + ",shard=1";
             const std::string baseline =
                 serial_runner.run(serial_spec).toJson();
             for (const uint32_t width : {1u, 2u, 7u, 16u}) {
                 const std::string spec = std::string(system) + ":" +
-                                         base + ",overlap=1,shard=" +
+                                         base + ",shard=" +
                                          std::to_string(width);
                 EXPECT_EQ(baseline, serial_runner.run(spec).toJson())
                     << "trial " << trial << " " << spec << " (jobs 1)";

@@ -148,7 +148,10 @@ TEST(SystemSpec, SummaryRoundTrips)
 {
     const SystemSpec spec = SystemSpec::parse(
         "scratchpipe:cache=0.05,policy=lfu,past=4,future=3,warm=0,"
-        "bound=1");
+        "bound=1,shard=4,probe=scalar");
+    EXPECT_EQ(spec.summary(),
+              "scratchpipe:cache=0.05,policy=LFU,past=4,future=3,warm=0,"
+              "bound=1,shard=4,probe=scalar");
     const SystemSpec reparsed = SystemSpec::parse(spec.summary());
     EXPECT_EQ(reparsed.name, spec.name);
     EXPECT_DOUBLE_EQ(*reparsed.cache_fraction, *spec.cache_fraction);
@@ -161,6 +164,9 @@ TEST(SystemSpec, SummaryRoundTrips)
               spec.scratchpipe.warm_start);
     EXPECT_EQ(reparsed.scratchpipe.enforce_capacity_bound,
               spec.scratchpipe.enforce_capacity_bound);
+    EXPECT_EQ(reparsed.scratchpipe.plan_shards,
+              spec.scratchpipe.plan_shards);
+    EXPECT_EQ(reparsed.scratchpipe.probe, spec.scratchpipe.probe);
 }
 
 TEST(SystemSpec, RejectsMalformedInput)
@@ -169,6 +175,7 @@ TEST(SystemSpec, RejectsMalformedInput)
     EXPECT_THROW(SystemSpec::parse("scratchpipe:cache"), FatalError);
     EXPECT_THROW(SystemSpec::parse("scratchpipe:cache=abc"), FatalError);
     EXPECT_THROW(SystemSpec::parse("scratchpipe:nope=1"), FatalError);
+    EXPECT_THROW(SystemSpec::parse("scratchpipe:overlap=1"), FatalError);
     EXPECT_THROW(SystemSpec::parse("scratchpipe:policy=mru"),
                  FatalError);
 }
