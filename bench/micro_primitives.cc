@@ -15,7 +15,6 @@
 
 #include "cache/hit_map.h"
 #include "cache/probe_kernel.h"
-#include "common/workload.h"
 #include "core/controller.h"
 #include "data/zipf.h"
 #include "emb/embedding_ops.h"
@@ -71,6 +70,50 @@ BM_HitMapFindMiss(benchmark::State &state)
 }
 BENCHMARK(BM_HitMapFindMiss);
 
+/** The hitmap_probe fixture: a filled HitMap plus a probe-key stream. */
+struct ProbeWorkload
+{
+    cache::HitMap map;
+    std::vector<uint64_t> keys;
+};
+
+/**
+ * Fill a `buckets`-bucket map (buckets must be a power of two; the
+ * fill stays below the growth threshold, so load_pct <= 65) to
+ * load_pct% occupancy with uniform keys below 2^30, then draw
+ * `num_keys` probe keys: hit_pct% sampled from the resident set, the
+ * rest from the disjoint [2^30, 2^31) range (guaranteed misses).
+ */
+ProbeWorkload
+makeProbeWorkload(size_t buckets, int hit_pct, int load_pct,
+                  size_t num_keys, uint64_t seed)
+{
+    // HitMap sizes to bit_ceil(2 * expected), so buckets/2 yields
+    // exactly `buckets` for a power-of-two input; load_pct <= 65
+    // stays below the 0.7 growth threshold.
+    ProbeWorkload workload{cache::HitMap(buckets / 2), {}};
+    tensor::Rng rng(seed);
+    std::vector<uint64_t> resident;
+    while (workload.map.size() * 100 <
+           buckets * static_cast<size_t>(load_pct)) {
+        const uint64_t key = rng.uniformInt(1u << 30);
+        if (!workload.map.contains(key)) {
+            workload.map.insert(
+                key, static_cast<uint32_t>(workload.map.size()));
+            resident.push_back(key);
+        }
+    }
+    workload.keys.resize(num_keys);
+    for (auto &key : workload.keys) {
+        const bool hit = !resident.empty() &&
+                         rng.uniform() * 100.0 <
+                             static_cast<double>(hit_pct);
+        key = hit ? resident[rng.uniformInt(resident.size())]
+                  : (1u << 30) + rng.uniformInt(1u << 30);
+    }
+    return workload;
+}
+
 /**
  * Batched-probe kernels over a hit-rate x load-factor grid:
  * Args({hit_pct, load_pct}). hitmap_probe_scalar runs the pipelined
@@ -90,7 +133,7 @@ void
 BM_HitMapProbe(benchmark::State &state, cache::ProbeMode mode)
 {
     constexpr size_t kBuckets = 1 << 21; // 16 MB of entries: DRAM-bound
-    bench::ProbeWorkload workload = bench::makeProbeWorkload(
+    ProbeWorkload workload = makeProbeWorkload(
         kBuckets, static_cast<int>(state.range(0)),
         static_cast<int>(state.range(1)), 8192, 8);
     workload.map.setProbeMode(mode);

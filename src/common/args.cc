@@ -158,13 +158,12 @@ ArgParser::wasSet(const std::string &name) const
 }
 
 uint32_t
-parseJobsArg(const ArgParser &args, const std::string &name)
+parseJobsArg(const ArgParser &args)
 {
-    const int64_t jobs = args.getInt(name);
-    fatalIf(jobs < 0, "--", name, " must be >= 0 (0 = all cores), got ",
+    const int64_t jobs = args.getInt("jobs");
+    fatalIf(jobs < 0, "--jobs must be >= 0 (0 = all cores), got ", jobs);
+    fatalIf(jobs > kMaxJobs, "--jobs must be <= ", kMaxJobs, ", got ",
             jobs);
-    fatalIf(jobs > kMaxJobs, "--", name, " must be <= ", kMaxJobs,
-            ", got ", jobs);
     return static_cast<uint32_t>(jobs);
 }
 

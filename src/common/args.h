@@ -80,18 +80,17 @@ class ArgParser
     std::map<std::string, Flag> flags_;
 };
 
-/** Upper bound accepted for --jobs-style pool widths. */
+/** Upper bound accepted for --jobs pool widths. */
 inline constexpr int64_t kMaxJobs = 4096;
 
 /**
- * Validated accessor for a --jobs-style integer flag: the value must
- * lie in [0, kMaxJobs] (0 = all cores). fatal() with a usage hint on
+ * Validated accessor for the --jobs integer flag: the value must lie
+ * in [0, kMaxJobs] (0 = all cores). fatal() with a usage hint on
  * negative or absurd widths, which would otherwise wrap into a
  * many-terathread pool request. Every driver's --jobs goes through
  * here so the bound is enforced in exactly one place.
  */
-uint32_t parseJobsArg(const ArgParser &args,
-                      const std::string &name = "jobs");
+uint32_t parseJobsArg(const ArgParser &args);
 
 } // namespace sp
 

@@ -50,9 +50,10 @@ class HoldMask
     uint32_t numSlots() const { return num_slots_; }
     uint32_t pastWindow() const { return past_window_; }
     uint32_t futureWindow() const { return future_window_; }
-    uint32_t widthBits() const
+    /** 64-bit, so windows near 2^32 cannot wrap to a small width. */
+    uint64_t widthBits() const
     {
-        return past_window_ + 1 + future_window_;
+        return uint64_t{past_window_} + 1 + future_window_;
     }
 
     /** Slide the window one plan forward (shift every mask). */

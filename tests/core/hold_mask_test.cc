@@ -131,6 +131,16 @@ TEST(HoldMask, OversizedWindowFatal)
     EXPECT_THROW(HoldMask(4, 12, 8), FatalError);
 }
 
+TEST(HoldMask, RejectsWindowWidthThatWrapsUint32)
+{
+    // Each width is 2^32 + a few bits: summed in uint32_t it would
+    // wrap below the 16-bit limit.
+    const uint32_t max = UINT32_MAX;
+    EXPECT_THROW(HoldMask(1, max, 0), FatalError);
+    EXPECT_THROW(HoldMask(1, max - 1, 3), FatalError);
+    EXPECT_THROW(HoldMask(1, 3, max), FatalError);
+}
+
 TEST(HoldMask, ZeroSlotsFatal)
 {
     EXPECT_THROW(HoldMask(0, 3, 2), FatalError);

@@ -47,15 +47,25 @@ TEST(ParallelDeterminism, PooledTraceGenerationIsBitIdentical)
 {
     // The dataset constructor fans batch generation out over the
     // global pool; every batch must equal the one a direct (serial)
-    // TraceGenerator call produces.
-    const ModelConfig model = testModel();
-    const data::TraceDataset dataset(model.trace, 12);
-    const data::TraceGenerator generator(model.trace);
-    for (uint64_t b = 0; b < dataset.numBatches(); ++b) {
-        const data::MiniBatch expected = generator.makeBatch(b);
-        const data::MiniBatch &got = dataset.batch(b);
-        ASSERT_EQ(got.index, expected.index);
-        ASSERT_EQ(got.table_ids, expected.table_ids) << "batch " << b;
+    // TraceGenerator call produces -- stationary, and under each of
+    // the drift, churn and flash-crowd overlays.
+    if (common::ThreadPool::global().size() < 4)
+        common::ThreadPool::setGlobalThreads(4);
+    for (const char *shaping :
+         {"", "drift_amp=0.4,drift_period=3,phase=2",
+          "burst_frac=0.5,burst_period=4,burst_len=2,burst_ranks=64,"
+          "churn_k=32,churn_period=2"}) {
+        SCOPED_TRACE(shaping);
+        ModelConfig model = testModel();
+        model.trace.workload = data::WorkloadSpec::parse(shaping).config;
+        const data::TraceDataset dataset(model.trace, 12);
+        const data::TraceGenerator generator(model.trace);
+        for (uint64_t b = 0; b < dataset.numBatches(); ++b) {
+            const data::MiniBatch expected = generator.makeBatch(b);
+            const data::MiniBatch &got = dataset.batch(b);
+            ASSERT_EQ(got.index, expected.index);
+            ASSERT_EQ(got.table_ids, expected.table_ids) << "batch " << b;
+        }
     }
 }
 

@@ -369,6 +369,24 @@ TEST(ExperimentRunner, BadSpecFailsFast)
     EXPECT_THROW(runner.run("scratchpip"), FatalError);
 }
 
+TEST(ExperimentRunner, HoldWindowThatWrapsUint32FailsTheSpec)
+{
+    // past + 1 + future wraps uint32_t to 2 here; the width check must
+    // still see 2^32 + 2 bits and fail the spec, not let it run with a
+    // mask shift past 31 bits.
+    ExperimentOptions options;
+    options.iterations = 2;
+    options.warmup = 1;
+    const ExperimentRunner runner(smallModel(), kHw, options);
+    const auto results =
+        runner.runAll({SystemSpec::parse("scratchpipe:past=4294967295")});
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_TRUE(results[0].failed());
+    EXPECT_NE(results[0].error.find("exceeds the 16-bit mask storage"),
+              std::string::npos)
+        << results[0].error;
+}
+
 TEST(RunResultJson, EmitsValidJson)
 {
     ExperimentOptions options;
