@@ -39,7 +39,7 @@ main()
     }
 
     // 2. Reload and characterise.
-    const data::TraceDataset trace = data::TraceDataset::load(path);
+    const data::TraceDataset trace = data::TraceDataset::mapped(path);
     data::AccessStats stats(trace.config().num_tables,
                             trace.config().rows_per_table);
     stats.addDataset(trace);

@@ -73,7 +73,16 @@ ArgParser::parse(int argc, const char *const *argv)
         Flag &flag = it->second;
 
         if (flag.kind == Kind::Bool) {
-            flag.value = has_value ? value : "true";
+            // A typo must not read as false: --list-systems=maybe
+            // would silently run the default simulation.
+            if (!has_value || value == "true" || value == "1" ||
+                value == "yes")
+                flag.value = "true";
+            else if (value == "false" || value == "0" || value == "no")
+                flag.value = "false";
+            else
+                fatal("flag --", token, " expects true/false/1/0/yes/no, "
+                      "got '", value, "'");
         } else {
             if (!has_value) {
                 fatalIf(i + 1 >= argc, "flag --", token,
@@ -145,8 +154,7 @@ ArgParser::getDouble(const std::string &name) const
 bool
 ArgParser::getBool(const std::string &name) const
 {
-    const std::string &value = flagOrDie(name, Kind::Bool).value;
-    return value == "true" || value == "1" || value == "yes";
+    return flagOrDie(name, Kind::Bool).value == "true";
 }
 
 bool

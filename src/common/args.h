@@ -38,9 +38,9 @@ class ArgParser
     void addBool(const std::string &name, const std::string &help);
 
     /**
-     * Parse argv. fatal() on unknown flags, missing values or
-     * malformed numbers. Returns false (after printing usage) when
-     * --help was requested.
+     * Parse argv. fatal() on unknown flags, missing values,
+     * malformed numbers, or booleans other than true/false/1/0/yes/no.
+     * Returns false (after printing usage) when --help was requested.
      */
     bool parse(int argc, const char *const *argv);
 

@@ -1,5 +1,6 @@
 #include "common/fault.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -143,6 +144,7 @@ parseEntry(const std::string &entry)
 
     bool has_every = false;
     bool has_p = false;
+    std::vector<std::string> seen;
     if (colon != std::string::npos) {
         std::istringstream rest(entry.substr(colon + 1));
         std::string pair;
@@ -154,6 +156,12 @@ parseEntry(const std::string &entry)
                     "' in '", entry, "'");
             const std::string key = trim(pair.substr(0, eq));
             const std::string value = trim(pair.substr(eq + 1));
+            // after=0,after=5 must not silently mean after=5.
+            fatalIf(std::find(seen.begin(), seen.end(), key) !=
+                        seen.end(),
+                    "SP_FAULTS: duplicate key '", key, "' in '", entry,
+                    "' (each key may appear once)");
+            seen.push_back(key);
             if (key == "after") {
                 schedule.after = parseU64(key, value);
             } else if (key == "every") {
@@ -226,9 +234,6 @@ const std::vector<SiteInfo> &
 sites()
 {
     static const std::vector<SiteInfo> registry = {
-        {"dataset.load.read",
-         "load returns Truncated/Corrupt; TraceStore treats the entry "
-         "as a miss and regenerates"},
         {"dataset.replay.open",
          "replay throws StatusError (NotFound/Truncated/Corrupt); the "
          "driver reports the unusable replay file and exits via the "
@@ -255,8 +260,8 @@ sites()
         {"trace_store.publish.save",
          "the temp file is unlinked; the run degrades to uncached"},
         {"trace_view.mmap",
-         "open throws StatusError(IoError); TraceStore regenerates "
-         "the dataset eagerly"},
+         "open throws StatusError(IoError); TraceStore treats the "
+         "entry as a miss and regenerates the trace"},
     };
     return registry;
 }

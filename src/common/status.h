@@ -7,8 +7,8 @@
  * adds the third class the first two cannot express: **environmental
  * failures** -- a disk filling up mid-publish, a trace truncated by a
  * crashed writer, a failed mmap -- where nobody is at fault and the
- * right response is usually *degradation* (regenerate the trace, fall
- * back to the slower tier), not process death.
+ * right response is usually *degradation* (regenerate the trace,
+ * continue uncached), not process death.
  *
  * Policy, enforced by the splint `io-status` rule over src/data:
  *
@@ -23,7 +23,7 @@
  *                               splint:allow)
  *
  * Status is [[nodiscard]] and splint flags bare calls to the
- * Status-returning IO entry points (saveTo/tryLoad/tryMapped/tryOpen),
+ * Status-returning IO entry points (saveTo/tryMapped/tryOpen),
  * so an ignored environmental failure is a lint error, not a latent
  * surprise.
  */
@@ -52,7 +52,6 @@ enum class ErrorCode
                      //!< interior indices)
     Truncated,       //!< file shorter than its header describes
     VersionMismatch, //!< valid trace, unsupported format version
-    Unsupported,     //!< platform lacks the facility (e.g. no mmap)
     FaultInjected,   //!< a deterministic SP_FAULT_POINT fired here
 };
 
@@ -170,7 +169,7 @@ class [[nodiscard]] Result
 
 /**
  * Exception form of a classified failure, for the legacy throwing
- * wrappers (TraceDataset::load, TraceView::open, ...). Derives
+ * wrappers (TraceDataset::mapped, TraceView::open, ...). Derives
  * FatalError so every existing `catch (const FatalError &)` recovery
  * site keeps working while new code can catch StatusError and read
  * the taxonomy instead of parsing message strings.

@@ -98,7 +98,6 @@ struct ForState
             const size_t i = next.fetch_add(1, std::memory_order_relaxed);
             if (i >= n)
                 return;
-            // splint:allow(hot-path-transitive-alloc): std::atomic::load, not TraceDataset::load -- severs the false edge
             if (!has_error.load(std::memory_order_relaxed)) {
                 try {
                     // splint:allow(hot-path-transitive-alloc): the chaos contract plants a site in every pooled task
@@ -125,7 +124,6 @@ struct ForState
         drain();
         std::unique_lock<std::mutex> lock(mutex);
         finished.wait(lock, [this] {
-            // splint:allow(hot-path-transitive-alloc): std::atomic::load, not TraceDataset::load -- severs the false edge
             return done.load(std::memory_order_acquire) == n;
         });
         // Phase ordering: the barrier releases only after every index

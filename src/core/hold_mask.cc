@@ -13,9 +13,9 @@ HoldMask::HoldMask(uint32_t num_slots, uint32_t past_window,
       future_window_(future_window)
 {
     fatalIf(num_slots == 0, "HoldMask needs at least one slot");
-    fatalIf(widthBits() > 16,
-            "hold-mask window of ", widthBits(),
-            " bits exceeds the 16-bit mask storage");
+    fatalIf(widthBits() > kHoldMaskBits, "hold-mask window of ",
+            widthBits(), " bits exceeds the ", kHoldMaskBits,
+            "-bit mask storage");
     masks_.assign(num_slots_, 0);
 }
 

@@ -33,6 +33,10 @@
 namespace sp::core
 {
 
+/** Bits of per-slot mask storage: the widest past + 1 + future window
+ *  a HoldMask (and so a system spec) can hold. */
+inline constexpr uint64_t kHoldMaskBits = 8 * sizeof(uint16_t);
+
 /** Per-slot sliding-window hold bits. */
 class HoldMask
 {
@@ -50,10 +54,16 @@ class HoldMask
     uint32_t numSlots() const { return num_slots_; }
     uint32_t pastWindow() const { return past_window_; }
     uint32_t futureWindow() const { return future_window_; }
-    /** 64-bit, so windows near 2^32 cannot wrap to a small width. */
+    /** past + 1 + future, summed in 64 bits so windows near 2^32
+     *  cannot wrap to a small width. */
+    static uint64_t
+    widthBits(uint32_t past_window, uint32_t future_window)
+    {
+        return uint64_t{past_window} + 1 + future_window;
+    }
     uint64_t widthBits() const
     {
-        return uint64_t{past_window_} + 1 + future_window_;
+        return widthBits(past_window_, future_window_);
     }
 
     /** Slide the window one plan forward (shift every mask). */

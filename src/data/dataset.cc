@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstring>
 #include <fstream>
 
 #include "common/fault.h"
@@ -25,13 +24,6 @@ TraceDataset::TraceDataset(const TraceConfig &config, uint64_t num_batches)
     common::parallelFor(num_batches, [this](size_t i) {
         batches_[i] = generator_.makeBatch(i);
     });
-}
-
-TraceDataset::TraceDataset(const TraceConfig &config,
-                           std::vector<MiniBatch> batches)
-    : config_(config), generator_(config), batches_(std::move(batches))
-{
-    fatalIf(batches_.empty(), "dataset needs at least one batch");
 }
 
 TraceDataset::TraceDataset(std::shared_ptr<TraceView> view,
@@ -142,7 +134,7 @@ TraceDataset::saveTo(const std::string &path) const
     }
     // Durability: a full disk or short write may only surface at
     // flush/close time; check both so a truncated file is reported
-    // here rather than as a corruption error at some later load().
+    // here rather than as a corruption error at some later mapped().
     os.flush();
     if (!os)
         return writeFailure(path, "writing");
@@ -161,68 +153,6 @@ TraceDataset::save(const std::string &path) const
 }
 
 TraceDataset
-TraceDataset::load(const std::string &path, uint64_t max_batches)
-{
-    errno = 0;
-    std::ifstream is(path, std::ios::binary);
-    failIf(!is,
-           errno == ENOENT ? ErrorCode::NotFound : ErrorCode::IoError,
-           "cannot open '", path, "' for reading");
-
-    const format::TraceFileHeader header = format::readHeader(is, path);
-    is.seekg(0, std::ios::end);
-    const uint64_t file_bytes = static_cast<uint64_t>(is.tellg());
-    is.seekg(static_cast<std::streamoff>(
-        format::headerBytes(header.config)));
-    format::validateHeader(header, file_bytes, path);
-
-    const TraceConfig &config = header.config;
-    const uint64_t num_batches =
-        max_batches == 0
-            ? header.num_batches
-            : std::min<uint64_t>(max_batches, header.num_batches);
-    std::vector<MiniBatch> batches;
-    batches.reserve(num_batches);
-    const size_t ids_per_table = config.idsPerTable();
-    for (uint64_t b = 0; b < num_batches; ++b) {
-        MiniBatch batch;
-        SP_FAULT_POINT("dataset.load.read");
-        is.read(reinterpret_cast<char *>(&batch.index),
-                sizeof(batch.index));
-        batch.batch_size = config.batch_size;
-        batch.lookups_per_table = config.lookups_per_table;
-        batch.table_ids.resize(config.num_tables);
-        for (auto &ids : batch.table_ids) {
-            ids.resize(ids_per_table);
-            is.read(reinterpret_cast<char *>(ids.data()),
-                    static_cast<std::streamsize>(ids.size() *
-                                                 sizeof(uint64_t)));
-        }
-        // Per-batch check so truncation fails at the cut, not after
-        // looping num_batches times over a dead stream.
-        failIf(!is, ErrorCode::Truncated, "'", path,
-               "' is truncated at batch ", b, " of ", num_batches);
-        failIf(batch.index != b, ErrorCode::Corrupt, "'", path,
-               "' stores batch index ", batch.index, " at position ",
-               b, "; the file is corrupt");
-        batches.push_back(std::move(batch));
-    }
-    return TraceDataset(config, std::move(batches));
-}
-
-sp::Result<TraceDataset>
-TraceDataset::tryLoad(const std::string &path, uint64_t max_batches)
-{
-    try {
-        return TraceDataset::load(path, max_batches);
-    } catch (const StatusError &e) {
-        return e.status();
-    } catch (const FatalError &e) {
-        return Status::error(ErrorCode::IoError, e.what());
-    }
-}
-
-TraceDataset
 TraceDataset::mapped(const std::string &path, uint64_t max_batches)
 {
     return TraceDataset(TraceView::open(path), max_batches);
@@ -233,12 +163,9 @@ TraceDataset::replay(const std::string &path, uint64_t max_batches)
 {
     // Replay adapter: the file's embedded config drives the run, so a
     // recorded trace flows through every system and harness exactly
-    // like a generated one. Zero-copy mmap when the platform has it,
-    // eager load otherwise.
+    // like a generated one.
     SP_FAULT_POINT("dataset.replay.open");
-    if (TraceView::supported())
-        return mapped(path, max_batches);
-    return load(path, max_batches);
+    return mapped(path, max_batches);
 }
 
 sp::Result<TraceDataset>

@@ -9,12 +9,10 @@
  * uses lookAhead() to build its future window; the baseline systems
  * simply iterate.
  *
- * Datasets can be saved to and loaded from a compact binary format so
- * experiments can be re-run on the exact same trace (trace_format.h).
- * Two load paths exist: load() eagerly deserialises into owned
- * vectors, while mapped() wraps an mmap'd TraceView and serves every
- * batch zero-copy out of the file mapping -- the warm-start path the
- * content-addressed TraceStore prefers.
+ * Datasets can be saved to a compact binary format so experiments can
+ * be re-run on the exact same trace (trace_format.h). A saved file is
+ * read back through mapped(), which wraps an mmap'd TraceView and
+ * serves every batch zero-copy out of the file mapping.
  */
 
 #ifndef SP_DATA_DATASET_H
@@ -38,10 +36,6 @@ class TraceDataset
   public:
     /** Generate `num_batches` mini-batches from `config`. */
     TraceDataset(const TraceConfig &config, uint64_t num_batches);
-
-    /** Construct from pre-built batches (used by the loader). */
-    TraceDataset(const TraceConfig &config,
-                 std::vector<MiniBatch> batches);
 
     /**
      * Serve batches zero-copy from an opened view. With `max_batches`
@@ -83,23 +77,11 @@ class TraceDataset
     void save(const std::string &path) const;
 
     /**
-     * Eagerly load a dataset previously written by save(). With
-     * `max_batches` != 0, stop after that many batches (prefix load).
-     * Throws StatusError classifying the failure (NotFound/Truncated/
+     * Load a dataset previously written by save(): batches are served
+     * straight from the file mapping (see TraceView). With
+     * `max_batches` != 0 only that prefix is exposed. Throws
+     * StatusError classifying the failure (NotFound/Truncated/
      * Corrupt/VersionMismatch/IoError).
-     */
-    static TraceDataset load(const std::string &path,
-                             uint64_t max_batches = 0);
-
-    /** load() with the failure as a Result instead of an exception. */
-    static sp::Result<TraceDataset> tryLoad(const std::string &path,
-                                            uint64_t max_batches = 0);
-
-    /**
-     * mmap-backed load: batches are served straight from the file
-     * mapping (see TraceView). Throws StatusError where load() would,
-     * and with code Unsupported when the platform has no mmap --
-     * callers wanting a fallback check TraceView::supported() first.
      */
     static TraceDataset mapped(const std::string &path,
                                uint64_t max_batches = 0);
@@ -110,9 +92,8 @@ class TraceDataset
 
     /**
      * Replay adapter: ingest an externally recorded trace file whose
-     * embedded config drives the run (mmap-backed when the platform
-     * supports it, eager otherwise). Throws StatusError classifying
-     * the failure exactly like load()/mapped().
+     * embedded config drives the run. Throws StatusError classifying
+     * the failure exactly like mapped().
      */
     static TraceDataset replay(const std::string &path,
                                uint64_t max_batches = 0);

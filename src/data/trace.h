@@ -81,7 +81,7 @@ struct TraceConfig
  * fills `table_views` with spans straight into the file mapping and
  * leaves `table_ids` empty -- no deserialisation, no copies. Consumers
  * read through ids()/numTables(), which serve either backing; only the
- * generator and the eager loader touch `table_ids` directly.
+ * generator touches `table_ids` directly.
  */
 struct MiniBatch
 {

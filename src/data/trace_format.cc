@@ -1,7 +1,6 @@
 #include "data/trace_format.h"
 
 #include <cstring>
-#include <istream>
 #include <ostream>
 
 #include "common/status.h"
@@ -28,15 +27,10 @@ writePod(std::ostream &os, const T &value)
     os.write(reinterpret_cast<const char *>(&value), sizeof(T));
 }
 
-/** Sequential reader over either a stream or a memory range, so the
- *  two header parsers share one field order. */
+/** Sequential reader over a memory range, in header field order. */
 class Cursor
 {
   public:
-    explicit Cursor(std::istream &is, const std::string &path)
-        : is_(&is), path_(path)
-    {
-    }
     Cursor(const unsigned char *data, uint64_t size,
            const std::string &path)
         : data_(data), size_(size), path_(path)
@@ -48,77 +42,19 @@ class Cursor
     next()
     {
         T value{};
-        if (is_ != nullptr) {
-            is_->read(reinterpret_cast<char *>(&value), sizeof(T));
-            failIf(!*is_, ErrorCode::Truncated, "'", path_,
-                   "' is truncated inside the trace header");
-        } else {
-            failIf(offset_ + sizeof(T) > size_, ErrorCode::Truncated,
-                   "'", path_,
-                   "' is truncated inside the trace header");
-            std::memcpy(&value, data_ + offset_, sizeof(T));
-            offset_ += sizeof(T);
-        }
+        failIf(offset_ + sizeof(T) > size_, ErrorCode::Truncated, "'",
+               path_, "' is truncated inside the trace header");
+        std::memcpy(&value, data_ + offset_, sizeof(T));
+        offset_ += sizeof(T);
         return value;
     }
 
   private:
-    std::istream *is_ = nullptr;
-    const unsigned char *data_ = nullptr;
-    uint64_t size_ = 0;
+    const unsigned char *data_;
+    uint64_t size_;
     uint64_t offset_ = 0;
     const std::string &path_;
 };
-
-TraceFileHeader
-readHeaderFields(Cursor &cursor, const std::string &path)
-{
-    const uint64_t magic = cursor.next<uint64_t>();
-    const uint32_t version = cursor.next<uint32_t>();
-    failIf(magic != kMagic, ErrorCode::Corrupt, "'", path,
-           "' is not a ScratchPipe trace");
-    failIf(version != kTraceFormatVersion, ErrorCode::VersionMismatch,
-           "'", path,
-           "' has unsupported trace version ", version, " (expected ",
-           kTraceFormatVersion,
-            "); regenerate the trace -- pre-v3 files stored truncated "
-            "32-bit IDs and did not record every generator field");
-    cursor.next<uint32_t>(); // alignment pad
-
-    TraceFileHeader header;
-    TraceConfig &config = header.config;
-    config.num_tables = cursor.next<uint64_t>();
-    config.rows_per_table = cursor.next<uint64_t>();
-    config.lookups_per_table = cursor.next<uint64_t>();
-    config.batch_size = cursor.next<uint64_t>();
-    const uint64_t locality = cursor.next<uint64_t>();
-    failIf(locality > static_cast<uint64_t>(Locality::High),
-           ErrorCode::Corrupt, "'", path,
-           "' names unknown locality preset ", locality);
-    config.locality = static_cast<Locality>(locality);
-    config.seed = cursor.next<uint64_t>();
-    config.dense_features = cursor.next<uint64_t>();
-    config.workload.drift_amp = cursor.next<double>();
-    config.workload.drift_period = cursor.next<uint64_t>();
-    config.workload.churn_k = cursor.next<uint64_t>();
-    config.workload.churn_period = cursor.next<uint64_t>();
-    config.workload.burst_frac = cursor.next<double>();
-    config.workload.burst_period = cursor.next<uint64_t>();
-    config.workload.burst_len = cursor.next<uint64_t>();
-    config.workload.burst_ranks = cursor.next<uint64_t>();
-    config.workload.phase = cursor.next<uint64_t>();
-    const uint64_t num_exponents = cursor.next<uint64_t>();
-    failIf(num_exponents != 0 && num_exponents != config.num_tables,
-           ErrorCode::Corrupt, "'", path, "' has ", num_exponents,
-           " per-table exponents for ", config.num_tables, " tables");
-    failIf(num_exponents > kMaxTables, ErrorCode::Corrupt, "'", path,
-           "' header is implausible (", num_exponents, " exponents)");
-    config.per_table_exponents.resize(num_exponents);
-    for (uint64_t t = 0; t < num_exponents; ++t)
-        config.per_table_exponents[t] = cursor.next<double>();
-    header.num_batches = cursor.next<uint64_t>();
-    return header;
-}
 
 } // namespace
 
@@ -179,18 +115,55 @@ writeHeader(std::ostream &os, const TraceConfig &config,
 }
 
 TraceFileHeader
-readHeader(std::istream &is, const std::string &path)
-{
-    Cursor cursor(is, path);
-    return readHeaderFields(cursor, path);
-}
-
-TraceFileHeader
 parseHeader(const unsigned char *data, uint64_t size,
             const std::string &path)
 {
     Cursor cursor(data, size, path);
-    return readHeaderFields(cursor, path);
+    const uint64_t magic = cursor.next<uint64_t>();
+    const uint32_t version = cursor.next<uint32_t>();
+    failIf(magic != kMagic, ErrorCode::Corrupt, "'", path,
+           "' is not a ScratchPipe trace");
+    failIf(version != kTraceFormatVersion, ErrorCode::VersionMismatch,
+           "'", path,
+           "' has unsupported trace version ", version, " (expected ",
+           kTraceFormatVersion,
+            "); regenerate the trace -- pre-v3 files stored truncated "
+            "32-bit IDs and did not record every generator field");
+    cursor.next<uint32_t>(); // alignment pad
+
+    TraceFileHeader header;
+    TraceConfig &config = header.config;
+    config.num_tables = cursor.next<uint64_t>();
+    config.rows_per_table = cursor.next<uint64_t>();
+    config.lookups_per_table = cursor.next<uint64_t>();
+    config.batch_size = cursor.next<uint64_t>();
+    const uint64_t locality = cursor.next<uint64_t>();
+    failIf(locality > static_cast<uint64_t>(Locality::High),
+           ErrorCode::Corrupt, "'", path,
+           "' names unknown locality preset ", locality);
+    config.locality = static_cast<Locality>(locality);
+    config.seed = cursor.next<uint64_t>();
+    config.dense_features = cursor.next<uint64_t>();
+    config.workload.drift_amp = cursor.next<double>();
+    config.workload.drift_period = cursor.next<uint64_t>();
+    config.workload.churn_k = cursor.next<uint64_t>();
+    config.workload.churn_period = cursor.next<uint64_t>();
+    config.workload.burst_frac = cursor.next<double>();
+    config.workload.burst_period = cursor.next<uint64_t>();
+    config.workload.burst_len = cursor.next<uint64_t>();
+    config.workload.burst_ranks = cursor.next<uint64_t>();
+    config.workload.phase = cursor.next<uint64_t>();
+    const uint64_t num_exponents = cursor.next<uint64_t>();
+    failIf(num_exponents != 0 && num_exponents != config.num_tables,
+           ErrorCode::Corrupt, "'", path, "' has ", num_exponents,
+           " per-table exponents for ", config.num_tables, " tables");
+    failIf(num_exponents > kMaxTables, ErrorCode::Corrupt, "'", path,
+           "' header is implausible (", num_exponents, " exponents)");
+    config.per_table_exponents.resize(num_exponents);
+    for (uint64_t t = 0; t < num_exponents; ++t)
+        config.per_table_exponents[t] = cursor.next<double>();
+    header.num_batches = cursor.next<uint64_t>();
+    return header;
 }
 
 void

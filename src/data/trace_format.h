@@ -2,8 +2,8 @@
  * @file
  * On-disk trace format (internal to src/data).
  *
- * One header codec shared by the eager loader (dataset.cc), the mmap
- * view (trace_view.cc) and the writer, so the three can never drift.
+ * One header codec shared by the reader (the mmap view, trace_view.cc)
+ * and the writer (dataset.cc), so the two can never drift.
  *
  * Layout (version 3; all fields native-endian, written raw):
  *
@@ -81,18 +81,15 @@ void writeHeader(std::ostream &os, const TraceConfig &config,
                  uint64_t num_batches);
 
 /**
- * Read and validate a header from a stream positioned at byte 0.
- * fatal() (mentioning `path`) on short reads, bad magic, unsupported
+ * Decode a header from the start of an in-memory byte range. fatal()
+ * (mentioning `path`) on short ranges, bad magic, unsupported
  * versions, or semantically impossible field values.
  */
-TraceFileHeader readHeader(std::istream &is, const std::string &path);
-
-/** Same validation over an in-memory byte range (the mmap path). */
 TraceFileHeader parseHeader(const unsigned char *data, uint64_t size,
                             const std::string &path);
 
 /**
- * Semantic header validation shared by both readers: field sanity
+ * Semantic header validation: field sanity
  * bounds (also overflow guards for the record-size arithmetic) and a
  * batch count that exactly matches `file_bytes`. fatal() on violation.
  */

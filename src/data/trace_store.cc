@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <random>
 #include <system_error>
 #include <thread>
@@ -12,12 +11,9 @@
 #include "common/fault.h"
 #include "common/logging.h"
 #include "common/status.h"
-#include "data/trace_format.h"
 #include "data/trace_view.h"
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
-#endif
 
 namespace sp::data
 {
@@ -55,9 +51,7 @@ defaultDirectory()
 }
 
 /** Process- and call-unique temp suffix so concurrent publishers of
- *  one fingerprint never collide before their atomic rename. The
- *  random token keeps processes distinct even where getpid is
- *  unavailable. */
+ *  one fingerprint never collide before their atomic rename. */
 std::string
 tempSuffix()
 {
@@ -70,23 +64,12 @@ tempSuffix()
         (static_cast<uint64_t>(std::random_device{}()) << 32) ^
         // splint:allow(no-nondeterminism): temp-file naming only
         std::random_device{}();
-#if defined(__unix__) || defined(__APPLE__)
     const uint64_t pid = static_cast<uint64_t>(::getpid());
-#else
-    const uint64_t pid = token & 0xffff;
-#endif
     return ".tmp." + std::to_string(pid) + "." +
            std::to_string(token % 1000000) + "." +
            std::to_string(sequence.fetch_add(1));
 }
 
-/**
- * Cheap header peek: does the current entry at `path` already hold a
- * valid trace for `config` covering at least `num_batches`? Used to
- * avoid replacing a longer published entry with a shorter one when
- * publishers race with different batch counts (the shorter file would
- * silently defeat every later warm start).
- */
 /** Rename attempts per publish (first try + retries with backoff). */
 constexpr int kRenameAttempts = 3;
 
@@ -121,24 +104,20 @@ class TempFileGuard
     bool committed_ = false;
 };
 
+/**
+ * Cheap header peek: does the current entry at `path` already hold a
+ * valid trace for `config` covering at least `num_batches`? Used to
+ * avoid replacing a longer published entry with a shorter one when
+ * publishers race with different batch counts (the shorter file would
+ * silently defeat every later warm start).
+ */
 bool
 entryCovers(const TraceConfig &config, uint64_t num_batches,
             const std::string &path)
 {
-    try {
-        std::ifstream is(path, std::ios::binary);
-        if (!is)
-            return false;
-        const format::TraceFileHeader header =
-            format::readHeader(is, path);
-        is.seekg(0, std::ios::end);
-        format::validateHeader(
-            header, static_cast<uint64_t>(is.tellg()), path);
-        return header.config == config &&
-               header.num_batches >= num_batches;
-    } catch (const FatalError &) {
-        return false;
-    }
+    const auto view = TraceView::tryOpen(path);
+    return view.ok() && view.value()->config() == config &&
+           view.value()->numBatches() >= num_batches;
 }
 
 } // namespace
@@ -147,8 +126,7 @@ TraceStore::TraceStore() : TraceStore(Options{}) {}
 
 TraceStore::TraceStore(const Options &options)
     : directory_(options.directory.empty() ? defaultDirectory()
-                                           : options.directory),
-      use_mmap_(options.use_mmap)
+                                           : options.directory)
 {
 }
 
@@ -161,7 +139,7 @@ TraceStore::entryPath(const TraceConfig &config) const
 
 std::optional<TraceDataset>
 TraceStore::tryLoad(const TraceConfig &config, uint64_t num_batches,
-                    const std::string &path, bool *mapped,
+                    const std::string &path,
                     sp::Status *load_status) const
 {
     std::error_code ec;
@@ -169,12 +147,7 @@ TraceStore::tryLoad(const TraceConfig &config, uint64_t num_batches,
         return std::nullopt;
     try {
         SP_FAULT_POINT("trace_store.load");
-        const bool use_view = use_mmap_ && TraceView::supported();
-        TraceDataset dataset = use_view
-                                   ? TraceDataset::mapped(path,
-                                                          num_batches)
-                                   : TraceDataset::load(path,
-                                                        num_batches);
+        TraceDataset dataset = TraceDataset::mapped(path, num_batches);
         // Poison guard: the fingerprint addressed the file, but the
         // *full* config must match field-by-field -- a hash collision
         // or a stale hand-edited entry must read as a miss, never as
@@ -193,7 +166,6 @@ TraceStore::tryLoad(const TraceConfig &config, uint64_t num_batches,
                 "'" + path + "' holds fewer batches than requested");
             return std::nullopt;
         }
-        *mapped = use_view;
         return dataset;
     } catch (const StatusError &error) {
         // Truncated/corrupt/unmappable entry: treat as a classified
@@ -275,14 +247,11 @@ TraceStore::acquire(const TraceConfig &config, uint64_t num_batches,
     fatalIf(num_batches == 0, "dataset needs at least one batch");
     const std::string path = entryPath(config);
 
-    bool mapped = false;
     sp::Status load_status;
-    if (auto cached =
-            tryLoad(config, num_batches, path, &mapped, &load_status)) {
+    if (auto cached = tryLoad(config, num_batches, path, &load_status)) {
         if (info != nullptr) {
             *info = AcquireInfo();
             info->cache_hit = true;
-            info->mapped = mapped;
         }
         return std::move(*cached);
     }

@@ -8,31 +8,17 @@
 #include "common/status.h"
 #include "data/trace_format.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define SP_HAVE_MMAP 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
 
 namespace sp::data
 {
 
-bool
-TraceView::supported()
-{
-#ifdef SP_HAVE_MMAP
-    return true;
-#else
-    return false;
-#endif
-}
-
 std::shared_ptr<TraceView>
 TraceView::open(const std::string &path)
 {
-#ifdef SP_HAVE_MMAP
     const int fd = ::open(path.c_str(), O_RDONLY);
     failIf(fd < 0,
            errno == ENOENT ? ErrorCode::NotFound : ErrorCode::IoError,
@@ -81,11 +67,6 @@ TraceView::open(const std::string &path)
               "trace '", path, "': accessor arithmetic disagrees with "
               "the validated file size ", size);
     return view;
-#else
-    failWith(ErrorCode::Unsupported, "cannot map '", path,
-             "': no mmap support on this platform (use the eager "
-             "TraceDataset::load)");
-#endif
 }
 
 sp::Result<std::shared_ptr<TraceView>>
@@ -102,10 +83,8 @@ TraceView::tryOpen(const std::string &path)
 
 TraceView::~TraceView()
 {
-#ifdef SP_HAVE_MMAP
     if (data_ != nullptr)
         ::munmap(const_cast<unsigned char *>(data_), size_);
-#endif
 }
 
 uint64_t

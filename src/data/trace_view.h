@@ -8,11 +8,9 @@
  * sweep costs one mmap plus header validation instead of regenerating
  * (or even rereading) gigabytes of IDs. The header is fully validated
  * at open() time, including an exact file-size check, so a span handed
- * out later can never run off the mapping.
- *
- * Platforms without POSIX mmap report supported() == false and open()
- * fails; callers (TraceStore, TraceDataset::mapped) fall back to the
- * eager loader.
+ * out later can never run off the mapping. This is the one reader of
+ * the trace format: the trace cache, replay and every saved-trace
+ * consumer go through it.
  */
 
 #ifndef SP_DATA_TRACE_VIEW_H
@@ -33,14 +31,10 @@ namespace sp::data
 class TraceView
 {
   public:
-    /** True when this platform has an mmap path at all. */
-    static bool supported();
-
     /**
      * Map `path` and validate its header. Throws StatusError
      * classifying the failure: NotFound (missing file), Corrupt /
-     * Truncated / VersionMismatch (validation), IoError (stat/mmap),
-     * Unsupported (platform without mmap).
+     * Truncated / VersionMismatch (validation), IoError (stat/mmap).
      */
     static std::shared_ptr<TraceView> open(const std::string &path);
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "core/hold_mask.h"
 #include "sys/registry.h"
 
 namespace sp::sys
@@ -225,6 +226,16 @@ SystemSpec::validate() const
     fatalIf(scratchpipe_tuned && !entry.uses_scratchpipe_options,
             "system '", name, "' has no scratchpad; "
             "policy/past/future/warm/bound/shard/probe do not apply");
+    if (entry.uses_scratchpipe_options) {
+        // Reject here, before any trace is generated, what HoldMask
+        // would otherwise only refuse inside the simulation.
+        const uint64_t width = core::HoldMask::widthBits(
+            scratchpipe.past_window, scratchpipe.future_window);
+        fatalIf(width > core::kHoldMaskBits, "system '", name,
+                "': hold-mask window of ", width, " bits exceeds the ",
+                core::kHoldMaskBits,
+                "-bit mask storage (past + 1 + future)");
+    }
     fatalIf(serve_tuned && !entry.uses_serve_options,
             "system '", name, "' does not serve requests; "
             "arrival/rate/batch_max/budget_us/refresh/burst_x/"

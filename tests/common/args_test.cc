@@ -71,6 +71,33 @@ TEST(Args, BoolSwitchForms)
     EXPECT_FALSE(args2.getBool("verbose"));
 }
 
+TEST(ArgParser, RejectsMalformedBoolValue)
+{
+    // Pre-fix, any value other than true/1/yes silently read as false.
+    for (const char *form : {"--verbose=1", "--verbose=yes"}) {
+        ArgParser args = makeParser();
+        EXPECT_TRUE(parse(args, {form}));
+        EXPECT_TRUE(args.getBool("verbose")) << form;
+    }
+    for (const char *form : {"--verbose=0", "--verbose=no"}) {
+        ArgParser args = makeParser();
+        EXPECT_TRUE(parse(args, {form}));
+        EXPECT_FALSE(args.getBool("verbose")) << form;
+    }
+    for (const char *form :
+         {"--verbose=maybe", "--verbose=", "--verbose=TRUE"}) {
+        ArgParser args = makeParser();
+        try {
+            parse(args, {form});
+            FAIL() << form << " accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("--verbose"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(Args, HelpShortCircuits)
 {
     ArgParser args = makeParser();

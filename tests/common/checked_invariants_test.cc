@@ -23,7 +23,6 @@
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "data/dataset.h"
-#include "data/trace_view.h"
 
 namespace sp
 {
@@ -124,9 +123,6 @@ TEST(CheckedInvariants, CompletionBarrierRetiresEveryIndex)
 
 TEST(CheckedInvariants, TraceViewRoundTripSatisfiesSizeInvariant)
 {
-    if (!data::TraceView::supported())
-        GTEST_SKIP() << "mmap views unsupported on this platform";
-
     namespace fs = std::filesystem;
     const fs::path path =
         fs::path(::testing::TempDir()) / "sp_checked_invariants.sptrace";

@@ -22,7 +22,6 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "data/trace_store.h"
-#include "data/trace_view.h"
 #include "sim/hardware_config.h"
 #include "sys/experiment.h"
 
@@ -107,6 +106,8 @@ TEST(FaultInjection, MalformedSpecsDieLoudly)
     EXPECT_THROW(configure("trace_store.load:every=2,p=0.5"),
                  FatalError);
     EXPECT_THROW(configure("trace_store.load:bogus=1"), FatalError);
+    EXPECT_THROW(configure("experiment.run:after=0,after=5"),
+                 FatalError);
     // The unknown-site message must list the registry (typo rescue).
     try {
         configure("no.such.site");
@@ -234,14 +235,13 @@ matrixConfig()
 class TempStore
 {
   public:
-    explicit TempStore(const std::string &name, bool use_mmap = true)
+    explicit TempStore(const std::string &name)
         : dir_(fs::path(::testing::TempDir()) /
                ("sp_fault_matrix_" + name))
     {
         fs::remove_all(dir_);
         data::TraceStore::Options options;
         options.directory = dir_.string();
-        options.use_mmap = use_mmap;
         store_ = std::make_unique<data::TraceStore>(options);
     }
     ~TempStore() { fs::remove_all(dir_); }
@@ -320,11 +320,11 @@ publishFaultScenario(const std::string &site, bool expect_published)
 /** Recoverable load-path fault: a warm entry reads as a classified
  *  miss and the trace regenerates with identical data. */
 void
-loadFaultScenario(const std::string &site, bool use_mmap)
+loadFaultScenario(const std::string &site)
 {
     const data::TraceConfig config = matrixConfig();
     const data::TraceDataset want(config, kBatches);
-    TempStore store("load_" + site, use_mmap);
+    TempStore store("load_" + site);
     store->acquire(config, kBatches); // prewarm, disarmed
     FaultGuard guard(site + ":every=1");
     data::TraceStore::AcquireInfo info;
@@ -431,9 +431,6 @@ TEST(FaultMatrix, EveryRegisteredSiteDegradesAsDocumented)
     clear();
     using Scenario = void (*)();
     const std::map<std::string, Scenario> scenarios = {
-        {"dataset.load.read",
-         // Read path only runs in the eager (no-mmap) tier.
-         [] { loadFaultScenario("dataset.load.read", false); }},
         {"dataset.replay.open",
          [] {
              // Replay path: an armed open surfaces through tryReplay
@@ -467,7 +464,7 @@ TEST(FaultMatrix, EveryRegisteredSiteDegradesAsDocumented)
         {"serve.request.drop", servingDropScenario},
         {"thread_pool.task", threadPoolTaskScenario},
         {"trace_store.load",
-         [] { loadFaultScenario("trace_store.load", true); }},
+         [] { loadFaultScenario("trace_store.load"); }},
         {"trace_store.publish.rename",
          [] {
              // Transient: a single injected rename failure is
@@ -491,11 +488,7 @@ TEST(FaultMatrix, EveryRegisteredSiteDegradesAsDocumented)
         {"trace_store.publish.save",
          [] { publishFaultScenario("trace_store.publish.save", false); }},
         {"trace_view.mmap",
-         [] {
-             if (!data::TraceView::supported())
-                 return; // the site is unreachable on this platform
-             loadFaultScenario("trace_view.mmap", true);
-         }},
+         [] { loadFaultScenario("trace_view.mmap"); }},
     };
     for (const SiteInfo &info : sites()) {
         SCOPED_TRACE(info.name);

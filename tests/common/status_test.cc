@@ -54,7 +54,6 @@ TEST(Status, CodeNamesAreStableKebabCase)
     EXPECT_STREQ(errorCodeName(ErrorCode::Truncated), "truncated");
     EXPECT_STREQ(errorCodeName(ErrorCode::VersionMismatch),
                  "version-mismatch");
-    EXPECT_STREQ(errorCodeName(ErrorCode::Unsupported), "unsupported");
     EXPECT_STREQ(errorCodeName(ErrorCode::FaultInjected),
                  "fault-injected");
 }

@@ -9,8 +9,8 @@
 #include <string>
 
 #include "common/logging.h"
+#include "common/status.h"
 #include "data/dataset.h"
-#include "data/trace_view.h"
 
 namespace sp::data
 {
@@ -125,14 +125,14 @@ TEST(Dataset, SaveLoadRoundTrip)
     TraceDataset original(smallConfig(), 7);
     original.save(file.path());
 
-    const TraceDataset loaded = TraceDataset::load(file.path());
+    const TraceDataset loaded = TraceDataset::mapped(file.path());
     EXPECT_EQ(loaded.numBatches(), original.numBatches());
     EXPECT_EQ(loaded.config().num_tables, original.config().num_tables);
     EXPECT_EQ(loaded.config().rows_per_table,
               original.config().rows_per_table);
     EXPECT_EQ(loaded.config().seed, original.config().seed);
     for (uint64_t b = 0; b < original.numBatches(); ++b)
-        EXPECT_EQ(loaded.batch(b).table_ids, original.batch(b).table_ids);
+        EXPECT_TRUE(loaded.batch(b).idsEqual(original.batch(b)));
 }
 
 TEST(Dataset, LoadedDatasetReproducesLabels)
@@ -142,7 +142,7 @@ TEST(Dataset, LoadedDatasetReproducesLabels)
     TempFile file;
     TraceDataset original(smallConfig(), 3);
     original.save(file.path());
-    const TraceDataset loaded = TraceDataset::load(file.path());
+    const TraceDataset loaded = TraceDataset::mapped(file.path());
     EXPECT_TRUE(
         tensor::Matrix::identical(loaded.labels(1), original.labels(1)));
 }
@@ -156,7 +156,7 @@ TEST(Dataset, RoundTripPreservesFullConfigAndLookAhead)
     TempFile file;
     TraceDataset original(smallConfig(), 6);
     original.save(file.path());
-    const TraceDataset loaded = TraceDataset::load(file.path());
+    const TraceDataset loaded = TraceDataset::mapped(file.path());
 
     EXPECT_EQ(loaded.config().lookups_per_table,
               original.config().lookups_per_table);
@@ -169,7 +169,7 @@ TEST(Dataset, RoundTripPreservesFullConfigAndLookAhead)
         const MiniBatch *got = loaded.lookAhead(1, d);
         ASSERT_EQ(expected == nullptr, got == nullptr) << "distance " << d;
         if (expected != nullptr) {
-            EXPECT_EQ(got->table_ids, expected->table_ids);
+            EXPECT_TRUE(got->idsEqual(*expected));
         }
     }
     EXPECT_TRUE(tensor::Matrix::identical(loaded.denseFeatures(3),
@@ -189,7 +189,7 @@ TEST(Dataset, RoundTripPreservesEveryConfigField)
     TraceDataset original(config, 4);
     original.save(file.path());
 
-    const TraceDataset loaded = TraceDataset::load(file.path());
+    const TraceDataset loaded = TraceDataset::mapped(file.path());
     EXPECT_TRUE(loaded.config() == config);
     for (uint64_t b = 0; b < 4; ++b)
         EXPECT_TRUE(loaded.batch(b).idsEqual(original.batch(b)));
@@ -200,7 +200,7 @@ TEST(Dataset, LoadHonoursMaxBatches)
     TempFile file;
     TraceDataset original(smallConfig(), 7);
     original.save(file.path());
-    const TraceDataset prefix = TraceDataset::load(file.path(), 3);
+    const TraceDataset prefix = TraceDataset::mapped(file.path(), 3);
     ASSERT_EQ(prefix.numBatches(), 3u);
     for (uint64_t b = 0; b < 3; ++b)
         EXPECT_TRUE(prefix.batch(b).idsEqual(original.batch(b)));
@@ -208,8 +208,6 @@ TEST(Dataset, LoadHonoursMaxBatches)
 
 TEST(Dataset, MappedServesIdenticalBatchesZeroCopy)
 {
-    if (!TraceView::supported())
-        GTEST_SKIP() << "no mmap on this platform";
     TempFile file;
     TraceConfig config = smallConfig();
     config.per_table_exponents = {0.6, 0.8};
@@ -239,8 +237,6 @@ TEST(Dataset, MappedServesIdenticalBatchesZeroCopy)
 
 TEST(Dataset, MappedHonoursMaxBatches)
 {
-    if (!TraceView::supported())
-        GTEST_SKIP() << "no mmap on this platform";
     TempFile file;
     TraceDataset original(smallConfig(), 6);
     original.save(file.path());
@@ -252,8 +248,6 @@ TEST(Dataset, MappedHonoursMaxBatches)
 
 TEST(Dataset, MappedRejectsCorruptFiles)
 {
-    if (!TraceView::supported())
-        GTEST_SKIP() << "no mmap on this platform";
     TempFile file;
     TraceDataset original(smallConfig(), 3);
     original.save(file.path());
@@ -289,8 +283,8 @@ fileBytes(const std::string &path)
 
 TEST(Dataset, LoadTruncatedBatchDataFatal)
 {
-    // A file cut mid-payload must fail loudly at the cut, not return
-    // a short dataset or spin over a dead stream.
+    // A file cut mid-payload must fail loudly, not return a short
+    // dataset or serve spans past the end of the mapping.
     TempFile file;
     TraceDataset original(smallConfig(), 7);
     original.save(file.path());
@@ -301,13 +295,15 @@ TEST(Dataset, LoadTruncatedBatchDataFatal)
         os.write(bytes.data(),
                  static_cast<std::streamsize>(2 * bytes.size() / 3));
     }
-    EXPECT_THROW(TraceDataset::load(file.path()), FatalError);
+    EXPECT_EQ(TraceDataset::tryMapped(file.path()).status().code(),
+              ErrorCode::Truncated);
+    EXPECT_THROW(TraceDataset::mapped(file.path()), FatalError);
 }
 
 TEST(Dataset, LoadTruncatedHeaderFatal)
 {
-    // Valid magic + version, then the header stops: the loader must
-    // not act on the garbage counts a short read leaves behind.
+    // Valid magic + version, then the header stops: the reader must
+    // not act on the garbage counts past the end of the file.
     TempFile file;
     TraceDataset original(smallConfig(), 3);
     original.save(file.path());
@@ -317,7 +313,9 @@ TEST(Dataset, LoadTruncatedHeaderFatal)
                          std::ios::binary | std::ios::trunc);
         os.write(bytes.data(), 20); // magic + version + half a field
     }
-    EXPECT_THROW(TraceDataset::load(file.path()), FatalError);
+    EXPECT_EQ(TraceDataset::tryMapped(file.path()).status().code(),
+              ErrorCode::Truncated);
+    EXPECT_THROW(TraceDataset::mapped(file.path()), FatalError);
 }
 
 TEST(Dataset, LoadWrongVersionFatal)
@@ -333,7 +331,9 @@ TEST(Dataset, LoadWrongVersionFatal)
         os.write(bytes.data(),
                  static_cast<std::streamsize>(bytes.size()));
     }
-    EXPECT_THROW(TraceDataset::load(file.path()), FatalError);
+    EXPECT_EQ(TraceDataset::tryMapped(file.path()).status().code(),
+              ErrorCode::VersionMismatch);
+    EXPECT_THROW(TraceDataset::mapped(file.path()), FatalError);
 }
 
 TEST(Dataset, LoadV1FileRejectedWithRegenerateHint)
@@ -353,7 +353,7 @@ TEST(Dataset, LoadV1FileRejectedWithRegenerateHint)
                  static_cast<std::streamsize>(bytes.size()));
     }
     try {
-        TraceDataset::load(file.path());
+        TraceDataset::mapped(file.path());
         FAIL() << "v1 file was accepted";
     } catch (const FatalError &error) {
         EXPECT_NE(std::string(error.what()).find("version 1"),
@@ -365,7 +365,12 @@ TEST(Dataset, LoadV1FileRejectedWithRegenerateHint)
 
 TEST(Dataset, LoadMissingFileFatal)
 {
-    EXPECT_THROW(TraceDataset::load("/nonexistent/path/trace.bin"),
+    EXPECT_EQ(
+        TraceDataset::tryMapped("/nonexistent/path/trace.bin")
+            .status()
+            .code(),
+        ErrorCode::NotFound);
+    EXPECT_THROW(TraceDataset::mapped("/nonexistent/path/trace.bin"),
                  FatalError);
 }
 
@@ -376,7 +381,7 @@ TEST(Dataset, LoadGarbageFileFatal)
         std::ofstream os(file.path(), std::ios::binary);
         os << "this is not a trace file at all, far too short header";
     }
-    EXPECT_THROW(TraceDataset::load(file.path()), FatalError);
+    EXPECT_THROW(TraceDataset::mapped(file.path()), FatalError);
 }
 
 TEST(Dataset, ZeroBatchesFatal)

@@ -1,9 +1,9 @@
 /**
  * @file
  * Content-addressed trace cache tests: fingerprint stability and
- * sensitivity, cold/warm acquisition, mmap-vs-eager identity,
- * atomic publication under racing writers, corrupt-entry recovery,
- * and the transparent ExperimentRunner wiring.
+ * sensitivity, cold/warm acquisition, atomic publication under racing
+ * writers, corrupt-entry recovery, and the transparent ExperimentRunner
+ * wiring.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +20,6 @@
 #include "common/status.h"
 #include "data/trace_format.h"
 #include "data/trace_store.h"
-#include "data/trace_view.h"
 #include "sim/hardware_config.h"
 #include "sys/experiment.h"
 
@@ -49,14 +48,13 @@ smallConfig()
 class TempStore
 {
   public:
-    explicit TempStore(const std::string &name, bool use_mmap = true)
+    explicit TempStore(const std::string &name)
         : dir_(fs::path(::testing::TempDir()) /
                ("sp_store_test_" + name))
     {
         fs::remove_all(dir_);
         TraceStore::Options options;
         options.directory = dir_.string();
-        options.use_mmap = use_mmap;
         store_ = std::make_unique<TraceStore>(options);
     }
     ~TempStore() { fs::remove_all(dir_); }
@@ -149,37 +147,14 @@ TEST(TraceStore, ColdAcquireGeneratesPublishesAndWarmHits)
     const TraceDataset warm = store->acquire(config, 6, &info);
     EXPECT_TRUE(info.cache_hit);
     EXPECT_FALSE(info.published);
-    EXPECT_EQ(info.mapped, TraceView::supported());
+    EXPECT_FALSE(cold.isMapped());
+    EXPECT_TRUE(warm.isMapped());
     expectDatasetsEqual(cold, warm);
     // Labels/dense features regenerate from the round-tripped config.
     EXPECT_TRUE(tensor::Matrix::identical(cold.labels(2),
                                           warm.labels(2)));
     EXPECT_TRUE(tensor::Matrix::identical(cold.denseFeatures(3),
                                           warm.denseFeatures(3)));
-}
-
-TEST(TraceStore, MappedAndEagerHitsServeIdenticalBatches)
-{
-    TempStore mapped_store("mmap_vs_eager", true);
-    const TraceConfig config = smallConfig();
-    const TraceDataset generated = mapped_store->acquire(config, 5);
-
-    TraceStore::Options eager_options;
-    eager_options.directory = mapped_store.dir().string();
-    eager_options.use_mmap = false;
-    const TraceStore eager_store(eager_options);
-
-    TraceStore::AcquireInfo info;
-    const TraceDataset via_map = mapped_store->acquire(config, 5, &info);
-    EXPECT_EQ(info.mapped, TraceView::supported());
-    EXPECT_EQ(via_map.isMapped(), TraceView::supported());
-    const TraceDataset via_read = eager_store.acquire(config, 5, &info);
-    EXPECT_TRUE(info.cache_hit);
-    EXPECT_FALSE(info.mapped);
-    EXPECT_FALSE(via_read.isMapped());
-
-    expectDatasetsEqual(generated, via_map);
-    expectDatasetsEqual(via_map, via_read);
 }
 
 TEST(TraceStore, LongerEntryServesAnyPrefix)
@@ -391,14 +366,14 @@ TEST(TraceStore, MidFileTruncationReadsAsMissAndRegenerates)
     expectDatasetsEqual(warm, original);
 }
 
-TEST(TraceDataset, TryLoadClassifiesEnvironmentalFailures)
+TEST(TraceDataset, TryMappedClassifiesEnvironmentalFailures)
 {
     TempStore store("classify");
     const TraceConfig config = smallConfig();
     store->acquire(config, 3);
     const std::string path = store->entryPath(config);
 
-    EXPECT_EQ(TraceDataset::tryLoad(path + ".missing").status().code(),
+    EXPECT_EQ(TraceDataset::tryMapped(path + ".missing").status().code(),
               ErrorCode::NotFound);
 
     // Rewrite the u32 version field (byte offset 8) to a future
@@ -411,7 +386,7 @@ TEST(TraceDataset, TryLoadClassifiesEnvironmentalFailures)
         file.write(reinterpret_cast<const char *>(&bad_version),
                    sizeof(bad_version));
     }
-    EXPECT_EQ(TraceDataset::tryLoad(path).status().code(),
+    EXPECT_EQ(TraceDataset::tryMapped(path).status().code(),
               ErrorCode::VersionMismatch);
     // And the store degrades it to a regenerate, like any bad entry.
     TraceStore::AcquireInfo info;
@@ -421,10 +396,8 @@ TEST(TraceDataset, TryLoadClassifiesEnvironmentalFailures)
     EXPECT_EQ(recovered.numBatches(), 3u);
 
     fs::resize_file(path, fs::file_size(path) - 3);
-    EXPECT_EQ(TraceDataset::tryLoad(path).status().code(),
+    EXPECT_EQ(TraceDataset::tryMapped(path).status().code(),
               ErrorCode::Truncated);
-    const Result<TraceDataset> mapped = TraceDataset::tryMapped(path);
-    EXPECT_FALSE(mapped.ok());
 }
 
 TEST(TraceStore, ExperimentRunnerServesIdenticalResultsFromCache)

@@ -219,6 +219,28 @@ TEST(SystemSpec, RejectsScratchpadKeysOnOtherSystems)
     EXPECT_THROW(spec.validate(), FatalError);
 }
 
+TEST(SystemSpec, RejectsHoldWindowWiderThanMask)
+{
+    // Pre-fix, validate() accepted these and spsim generated the whole
+    // trace before HoldMask refused them inside the simulation
+    // (strawman, which ignores the window, ran silently).
+    for (const char *family : {"scratchpipe", "strawman"}) {
+        const std::string name(family);
+        EXPECT_NO_THROW(
+            SystemSpec::parse(name + ":past=13,future=2").validate())
+            << name;
+        try {
+            SystemSpec::parse(name + ":past=14,future=2").validate();
+            FAIL() << name << ": 17-bit window accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "exceeds the 16-bit mask storage"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(SystemSpec, RejectsOutOfRangeCache)
 {
     for (double fraction : {-0.1, 0.0, 1.5}) {
@@ -372,19 +394,21 @@ TEST(ExperimentRunner, BadSpecFailsFast)
 TEST(ExperimentRunner, HoldWindowThatWrapsUint32FailsTheSpec)
 {
     // past + 1 + future wraps uint32_t to 2 here; the width check must
-    // still see 2^32 + 2 bits and fail the spec, not let it run with a
-    // mask shift past 31 bits.
+    // still see 2^32 + 2 bits and reject the spec in runAll's up-front
+    // validation, before any simulation (or trace) starts.
     ExperimentOptions options;
     options.iterations = 2;
     options.warmup = 1;
     const ExperimentRunner runner(smallModel(), kHw, options);
-    const auto results =
+    try {
         runner.runAll({SystemSpec::parse("scratchpipe:past=4294967295")});
-    ASSERT_EQ(results.size(), 1u);
-    EXPECT_TRUE(results[0].failed());
-    EXPECT_NE(results[0].error.find("exceeds the 16-bit mask storage"),
-              std::string::npos)
-        << results[0].error;
+        FAIL() << "impossible hold window accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "exceeds the 16-bit mask storage"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(RunResultJson, EmitsValidJson)
