@@ -25,8 +25,8 @@
  * (common/fault.h) for chaos-testing those paths.
  */
 
+#include <algorithm>
 #include <iostream>
-#include <sstream>
 #include <vector>
 
 #include "cache/probe_kernel.h"
@@ -47,32 +47,26 @@ using namespace sp;
 namespace
 {
 
-/** Split "a,b:c=d,e" at top-level commas, honouring that spec option
- *  lists also use commas: a new spec starts only when the token before
- *  the comma contains no '=' pending... The unambiguous rule: split at
- *  commas whose next segment, up to the following comma/colon, does
- *  not contain '='. */
+/** Split "hybrid,static:cache=0.02,scratchpipe:policy=lfu,past=4"
+ *  into specs. Spec option lists also use commas, so a piece with '='
+ *  but no ':' continues the spec before it; any other piece starts a
+ *  new one. An empty piece (a stray comma) is an error. */
 std::vector<std::string>
 splitSpecs(const std::string &text)
 {
     std::vector<std::string> specs;
-    std::string current;
-    std::stringstream stream(text);
-    std::string piece;
-    while (std::getline(stream, piece, ',')) {
+    for (size_t begin = 0; begin <= text.size();) {
+        const size_t end = std::min(text.find(',', begin), text.size());
+        const std::string piece = text.substr(begin, end - begin);
+        fatalIf(piece.empty(), "--system: empty spec in '", text, "'");
         const bool option = piece.find('=') != std::string::npos &&
                             piece.find(':') == std::string::npos;
-        if (current.empty() || !option) {
-            if (!current.empty())
-                specs.push_back(current);
-            current = piece;
-        } else {
-            current += "," + piece;
-        }
+        if (option && !specs.empty())
+            specs.back() += "," + piece;
+        else
+            specs.push_back(piece);
+        begin = end + 1;
     }
-    if (!current.empty())
-        specs.push_back(current);
-    fatalIf(specs.empty(), "--system: no system specs in '", text, "'");
     return specs;
 }
 
@@ -337,10 +331,14 @@ main(int argc, char **argv)
         const sim::HardwareConfig hw =
             sim::HardwareConfig::paperTestbed();
         if (format != "json") {
-            std::cout << "generating trace ("
-                      << (options.warmup + options.iterations + 2)
-                      << " batches of " << model.trace.idsPerBatch()
-                      << " IDs); probe kernel: "
+            if (workload.replay_path.empty())
+                std::cout << "generating trace ("
+                          << (options.warmup + options.iterations + 2)
+                          << " batches of " << model.trace.idsPerBatch()
+                          << " IDs)";
+            else // the file fixes its own geometry
+                std::cout << "replaying " << workload.replay_path;
+            std::cout << "; probe kernel: "
                       << cache::selectProbeKernel(cache::ProbeMode::Auto)
                              .name
                       << " (SP_SIMD / probe= to change)\n";

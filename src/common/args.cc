@@ -1,6 +1,8 @@
 #include "common/args.h"
 
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <sstream>
@@ -187,6 +189,65 @@ ArgParser::usage() const
         os << "  " << flag.help << "\n";
     }
     return os.str();
+}
+
+std::vector<std::pair<std::string, std::string>>
+KeyValueGrammar::split(const std::string &list, const std::string &text) const
+{
+    std::vector<std::pair<std::string, std::string>> items;
+    for (size_t begin = 0; !list.empty() && begin <= list.size();) {
+        const size_t end = std::min(list.find(',', begin), list.size());
+        const std::string item = list.substr(begin, end - begin);
+        const size_t eq = item.find('=');
+        fatalIf(eq == std::string::npos, what_,
+                ": expected key=value, got '", item, "' in '", text, "'");
+        std::string key = item.substr(0, eq);
+        for (const auto &seen : items)
+            fatalIf(seen.first == key, what_, ": duplicate key '", key,
+                    "' in '", text, "' (each option may appear once)");
+        items.emplace_back(std::move(key), item.substr(eq + 1));
+        begin = end + 1;
+    }
+    return items;
+}
+
+double
+KeyValueGrammar::number(const std::string &key,
+                        const std::string &value) const
+{
+    char *end = nullptr;
+    const double parsed = std::strtod(value.c_str(), &end);
+    fatalIf(value.empty() || *end != '\0', what_, ": bad number '",
+            value, "' for key '", key, "'");
+    return parsed;
+}
+
+uint64_t
+KeyValueGrammar::integer(const std::string &key, const std::string &value,
+                         uint64_t max) const
+{
+    // Unsigned from_chars takes digits only: no sign, no whitespace,
+    // no "0x". A fraction or exponent stops it short of the end.
+    uint64_t parsed = 0;
+    const char *last = value.data() + value.size();
+    const auto [ptr, ec] = std::from_chars(value.data(), last, parsed);
+    fatalIf(ec != std::errc() || ptr != last || parsed > max, what_,
+            ": '", key, "' must be a non-negative decimal integer",
+            max == std::numeric_limits<uint64_t>::max()
+                ? std::string()
+                : " <= " + std::to_string(max),
+            ", got '", value, "'");
+    return parsed;
+}
+
+std::string
+KeyValueGrammar::format(double value)
+{
+    char buffer[32];
+    const auto [end, ec] =
+        std::to_chars(buffer, buffer + sizeof(buffer), value);
+    return ec == std::errc() ? std::string(buffer, end)
+                             : std::to_string(value);
 }
 
 } // namespace sp

@@ -6,14 +6,20 @@
  * switches, with typed accessors, defaults, and an auto-generated
  * usage string. Unknown flags are fatal (catching typos beats
  * silently ignoring them in an experiment driver).
+ *
+ * KeyValueGrammar is the `key=value[,key=value...]` list grammar that
+ * system specs (sys/spec.h) and workload specs (data/workload.h)
+ * share.
  */
 
 #ifndef SP_COMMON_ARGS_H
 #define SP_COMMON_ARGS_H
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace sp
@@ -91,6 +97,42 @@ inline constexpr int64_t kMaxJobs = 4096;
  * here so the bound is enforced in exactly one place.
  */
 uint32_t parseJobsArg(const ArgParser &args);
+
+/**
+ * The `key=value[,key=value...]` list grammar of system and workload
+ * specs. Every diagnostic is fatal() and starts with the caller's
+ * prefix ("system spec: ...", "workload spec: ...").
+ */
+class KeyValueGrammar
+{
+  public:
+    constexpr explicit KeyValueGrammar(const char *what) : what_(what) {}
+
+    const char *what() const { return what_; }
+
+    /**
+     * The (key, value) items of `list` in order ("" has none). An
+     * empty item (a stray comma), an item without '=' and a repeated
+     * key are errors. `text`, the whole spec, is quoted in messages.
+     */
+    std::vector<std::pair<std::string, std::string>>
+    split(const std::string &list, const std::string &text) const;
+
+    /** A number in strtod syntax, nothing after it. */
+    double number(const std::string &key, const std::string &value) const;
+
+    /** Decimal digits only (no sign, fraction, exponent or "0x"),
+     *  at most `max`. */
+    uint64_t integer(const std::string &key, const std::string &value,
+                     uint64_t max = std::numeric_limits<uint64_t>::max())
+        const;
+
+    /** Shortest text that number() reads back as `value`. */
+    static std::string format(double value);
+
+  private:
+    const char *what_;
+};
 
 } // namespace sp
 

@@ -23,9 +23,9 @@
  *                               splint:allow)
  *
  * Status is [[nodiscard]] and splint flags bare calls to the
- * Status-returning IO entry points (saveTo/tryMapped/tryOpen),
- * so an ignored environmental failure is a lint error, not a latent
- * surprise.
+ * Status-returning IO entry points (saveTo/tryReplay/tryMapped/
+ * tryOpen), so an ignored environmental failure is a lint error, not
+ * a latent surprise.
  */
 
 #ifndef SP_COMMON_STATUS_H

@@ -1,12 +1,11 @@
 #include "data/workload.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <numeric>
 #include <sstream>
 
+#include "common/args.h"
 #include "common/logging.h"
 
 namespace sp::data
@@ -31,38 +30,7 @@ mix64(uint64_t x)
     return x;
 }
 
-double
-parseSpecDouble(const std::string &key, const std::string &value)
-{
-    char *end = nullptr;
-    const double parsed = std::strtod(value.c_str(), &end);
-    fatalIf(end == nullptr || *end != '\0' || value.empty(),
-            "workload spec: bad number '", value, "' for key '", key,
-            "'");
-    return parsed;
-}
-
-uint64_t
-parseSpecCount(const std::string &key, const std::string &value)
-{
-    uint64_t parsed = 0;
-    const auto [ptr, ec] = std::from_chars(
-        value.data(), value.data() + value.size(), parsed);
-    fatalIf(ec != std::errc() || ptr != value.data() + value.size(),
-            "workload spec: '", key,
-            "' must be a non-negative integer, got '", value, "'");
-    return parsed;
-}
-
-std::string
-shortestDouble(double value)
-{
-    char buffer[32];
-    const auto [end, ec] =
-        std::to_chars(buffer, buffer + sizeof(buffer), value);
-    return ec == std::errc() ? std::string(buffer, end)
-                             : std::to_string(value);
-}
+constexpr KeyValueGrammar kGrammar("workload spec");
 
 /** Triangle wave in [-1, 1] with half-period `period` batches. */
 double
@@ -84,7 +52,7 @@ WorkloadConfig::validationError(uint64_t rows_per_table) const
     if (drift_amp < 0.0 || !std::isfinite(drift_amp)) {
         os << "drift_amp must be finite and >= 0, got " << drift_amp;
     } else if (drift_amp > 0.0 && drift_period == 0) {
-        os << "drift_amp=" << shortestDouble(drift_amp)
+        os << "drift_amp=" << KeyValueGrammar::format(drift_amp)
            << " needs drift_period > 0";
     } else if (drift_period > 0 && drift_amp == 0.0) {
         os << "drift_period=" << drift_period
@@ -103,7 +71,7 @@ WorkloadConfig::validationError(uint64_t rows_per_table) const
     } else if (burst_frac > 0.0 &&
                (burst_period == 0 || burst_len == 0 ||
                 burst_ranks == 0)) {
-        os << "burst_frac=" << shortestDouble(burst_frac)
+        os << "burst_frac=" << KeyValueGrammar::format(burst_frac)
            << " needs burst_period, burst_len and burst_ranks > 0";
     } else if (burst_frac == 0.0 &&
                (burst_period > 0 || burst_len > 0 || burst_ranks > 0)) {
@@ -131,7 +99,7 @@ WorkloadConfig::summary() const
         separator = ',';
     };
     if (drift_amp != 0.0) {
-        emit("drift_amp", shortestDouble(drift_amp));
+        emit("drift_amp", KeyValueGrammar::format(drift_amp));
         emit("drift_period", std::to_string(drift_period));
     }
     if (churn_k != 0) {
@@ -139,7 +107,7 @@ WorkloadConfig::summary() const
         emit("churn_period", std::to_string(churn_period));
     }
     if (burst_frac != 0.0) {
-        emit("burst_frac", shortestDouble(burst_frac));
+        emit("burst_frac", KeyValueGrammar::format(burst_frac));
         emit("burst_period", std::to_string(burst_period));
         emit("burst_len", std::to_string(burst_len));
         emit("burst_ranks", std::to_string(burst_ranks));
@@ -153,63 +121,37 @@ WorkloadSpec
 WorkloadSpec::parse(const std::string &text)
 {
     WorkloadSpec spec;
-    if (text.empty())
-        return spec;
-
-    std::vector<std::string> seen;
-    std::stringstream options(text);
-    std::string item;
     bool shaped = false;
-    while (std::getline(options, item, ',')) {
-        const size_t eq = item.find('=');
-        fatalIf(eq == std::string::npos,
-                "workload spec: expected key=value, got '", item,
-                "' in '", text, "'");
-        const std::string key = item.substr(0, eq);
-        const std::string value = item.substr(eq + 1);
-        // Duplicates previously last-won silently; an option set with
-        // two values for one knob is a typo, never an intent.
-        fatalIf(std::find(seen.begin(), seen.end(), key) != seen.end(),
-                "workload spec: duplicate key '", key, "' in '", text,
-                "'");
-        seen.push_back(key);
-        if (key == "drift_amp") {
-            spec.config.drift_amp = parseSpecDouble(key, value);
-            shaped = true;
-        } else if (key == "drift_period") {
-            spec.config.drift_period = parseSpecCount(key, value);
-            shaped = true;
-        } else if (key == "churn_k") {
-            spec.config.churn_k = parseSpecCount(key, value);
-            shaped = true;
-        } else if (key == "churn_period") {
-            spec.config.churn_period = parseSpecCount(key, value);
-            shaped = true;
-        } else if (key == "burst_frac") {
-            spec.config.burst_frac = parseSpecDouble(key, value);
-            shaped = true;
-        } else if (key == "burst_period") {
-            spec.config.burst_period = parseSpecCount(key, value);
-            shaped = true;
-        } else if (key == "burst_len") {
-            spec.config.burst_len = parseSpecCount(key, value);
-            shaped = true;
-        } else if (key == "burst_ranks") {
-            spec.config.burst_ranks = parseSpecCount(key, value);
-            shaped = true;
-        } else if (key == "phase") {
-            spec.config.phase = parseSpecCount(key, value);
-            shaped = true;
-        } else if (key == "replay") {
-            fatalIf(value.empty(),
-                    "workload spec: replay needs a file path");
+    for (const auto &[key, value] : kGrammar.split(text, text)) {
+        WorkloadConfig &c = spec.config;
+        if (key == "drift_amp")
+            c.drift_amp = kGrammar.number(key, value);
+        else if (key == "drift_period")
+            c.drift_period = kGrammar.integer(key, value);
+        else if (key == "churn_k")
+            c.churn_k = kGrammar.integer(key, value);
+        else if (key == "churn_period")
+            c.churn_period = kGrammar.integer(key, value);
+        else if (key == "burst_frac")
+            c.burst_frac = kGrammar.number(key, value);
+        else if (key == "burst_period")
+            c.burst_period = kGrammar.integer(key, value);
+        else if (key == "burst_len")
+            c.burst_len = kGrammar.integer(key, value);
+        else if (key == "burst_ranks")
+            c.burst_ranks = kGrammar.integer(key, value);
+        else if (key == "phase")
+            c.phase = kGrammar.integer(key, value);
+        else if (key == "replay")
             spec.replay_path = value;
-        } else {
+        else
             fatal("workload spec: unknown key '", key, "' in '", text,
                   "' (drift_amp/drift_period/churn_k/churn_period/"
                   "burst_frac/burst_period/burst_len/burst_ranks/"
                   "phase/replay)");
-        }
+        fatalIf(key == "replay" && value.empty(),
+                "workload spec: replay needs a file path");
+        shaped = shaped || key != "replay";
     }
     fatalIf(!spec.replay_path.empty() && shaped,
             "workload spec: replay=", spec.replay_path,

@@ -102,9 +102,7 @@ registerHybridSystem(Registry &registry)
 {
     registry.addEntry(
         {"hybrid", HybridCpuGpu::kDescription,
-         /*uses_cache_fraction=*/false,
-         /*uses_scratchpipe_options=*/false,
-         /*uses_serve_options=*/false,
+         /*key_groups=*/0,
          [](const ModelConfig &model, const sim::HardwareConfig &hw,
             const SystemSpec &) -> std::unique_ptr<System> {
              return std::make_unique<HybridCpuGpu>(model, hw);

@@ -120,9 +120,7 @@ registerMultiGpuSystem(Registry &registry)
 {
     registry.addEntry(
         {"multigpu", MultiGpuSystem::kDescription,
-         /*uses_cache_fraction=*/false,
-         /*uses_scratchpipe_options=*/false,
-         /*uses_serve_options=*/false,
+         /*key_groups=*/0,
          [](const ModelConfig &model, const sim::HardwareConfig &hw,
             const SystemSpec &) -> std::unique_ptr<System> {
              return std::make_unique<MultiGpuSystem>(model, hw);

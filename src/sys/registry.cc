@@ -37,12 +37,6 @@ Registry::instance()
 }
 
 void
-Registry::add(Entry entry)
-{
-    instance().addEntry(std::move(entry));
-}
-
-void
 Registry::addEntry(Entry entry)
 {
     panicIf(entry.name.empty(), "registry: entry without a name");
@@ -59,15 +53,6 @@ Registry::build(const SystemSpec &spec, const ModelConfig &model,
 {
     spec.validate();
     return entry(spec.name).build(model, hw, spec);
-}
-
-std::unique_ptr<System>
-Registry::build(const std::string &name, const SystemSpec &spec,
-                const ModelConfig &model, const sim::HardwareConfig &hw)
-{
-    SystemSpec named = spec;
-    named.name = name;
-    return build(named, model, hw);
 }
 
 std::vector<std::string>

@@ -4,8 +4,8 @@
  *
  * Each system registers itself under a stable CLI-friendly key
  * ("hybrid", "scratchpipe", ...) together with a one-line description
- * and two capability bits that drive SystemSpec validation. Drivers
- * build systems by name:
+ * and the SystemSpec key groups it accepts, which drive
+ * SystemSpec::validate(). Drivers build systems by name:
  *
  *   auto system = sys::Registry::build(spec, model, hardware);
  *   RunResult r = system->simulate(dataset, stats, iters, warmup);
@@ -52,34 +52,21 @@ class Registry
         std::string name;
         /** One-line description for --list-systems. */
         std::string description;
-        /** Does `cache=` mean anything to this system? */
-        bool uses_cache_fraction = false;
-        /** Do the scratchpad-only keys (policy/windows/...) apply? */
-        bool uses_scratchpipe_options = false;
-        /** Do the serving-only keys (rate/arrival/budget_us/...)
-         *  apply? */
-        bool uses_serve_options = false;
+        /** KeyGroup bits: the SystemSpec keys that apply to this
+         *  system (any other given key fails validate()). */
+        unsigned key_groups = 0;
         Builder build;
     };
 
-    /** Register a system globally; panics on duplicate names. */
-    static void add(Entry entry);
-
-    /** Instance form used by the builtin registration functions (they
-     *  run inside instance()'s initialisation, where the static add()
-     *  would deadlock). */
+    /** Register a system; panics on duplicate names. Called by the
+     *  builtin registration functions inside instance()'s
+     *  initialisation. */
     void addEntry(Entry entry);
 
     /** Build a system for `spec` (spec.name keys the lookup).
      *  fatal() with a suggestion when the name is unknown; runs
      *  spec.validate() first so misuse fails before construction. */
     static std::unique_ptr<System> build(const SystemSpec &spec,
-                                         const ModelConfig &model,
-                                         const sim::HardwareConfig &hw);
-
-    /** Shorthand: build "name" with an otherwise-default spec. */
-    static std::unique_ptr<System> build(const std::string &name,
-                                         const SystemSpec &spec,
                                          const ModelConfig &model,
                                          const sim::HardwareConfig &hw);
 

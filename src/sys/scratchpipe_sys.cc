@@ -278,9 +278,7 @@ registerScratchPipeSystems(Registry &registry)
 {
     registry.addEntry(
         {"scratchpipe", ScratchPipeSystem::kDescriptionPipelined,
-         /*uses_cache_fraction=*/true,
-         /*uses_scratchpipe_options=*/true,
-         /*uses_serve_options=*/false,
+         kCacheKeys | kScratchpadKeys,
          [](const ModelConfig &model, const sim::HardwareConfig &hw,
             const SystemSpec &spec) -> std::unique_ptr<System> {
              return std::make_unique<ScratchPipeSystem>(
@@ -288,9 +286,7 @@ registerScratchPipeSystems(Registry &registry)
          }});
     registry.addEntry(
         {"strawman", ScratchPipeSystem::kDescriptionStrawman,
-         /*uses_cache_fraction=*/true,
-         /*uses_scratchpipe_options=*/true,
-         /*uses_serve_options=*/false,
+         kCacheKeys | kScratchpadKeys,
          [](const ModelConfig &model, const sim::HardwareConfig &hw,
             const SystemSpec &spec) -> std::unique_ptr<System> {
              return std::make_unique<ScratchPipeSystem>(

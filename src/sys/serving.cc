@@ -421,9 +421,7 @@ registerServingSystem(Registry &registry)
 {
     registry.addEntry(
         {"serve", ServingSystem::kDescription,
-         /*uses_cache_fraction=*/true,
-         /*uses_scratchpipe_options=*/false,
-         /*uses_serve_options=*/true,
+         kCacheKeys | kServeKeys,
          [](const ModelConfig &model, const sim::HardwareConfig &hw,
             const SystemSpec &spec) -> std::unique_ptr<System> {
              return std::make_unique<ServingSystem>(

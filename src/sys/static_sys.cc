@@ -162,13 +162,11 @@ registerStaticCacheSystem(Registry &registry)
 {
     registry.addEntry(
         {"static", StaticCacheSystem::kDescription,
-         /*uses_cache_fraction=*/true,
-         /*uses_scratchpipe_options=*/false,
-         /*uses_serve_options=*/false,
+         kCacheKeys,
          [](const ModelConfig &model, const sim::HardwareConfig &hw,
             const SystemSpec &spec) -> std::unique_ptr<System> {
              return std::make_unique<StaticCacheSystem>(
-                 model, hw, spec.cacheFractionOr(0.10));
+                 model, hw, spec.cache_fraction.value_or(0.10));
          }});
 }
 

@@ -125,7 +125,7 @@ TEST(SystemSpec, ParsesBareName)
     const SystemSpec spec = SystemSpec::parse("hybrid");
     EXPECT_EQ(spec.name, "hybrid");
     EXPECT_FALSE(spec.cache_fraction.has_value());
-    EXPECT_FALSE(spec.scratchpipe_tuned);
+    EXPECT_EQ(spec.tuned_groups, 0u);
 }
 
 TEST(SystemSpec, ParsesEveryKey)
@@ -141,7 +141,7 @@ TEST(SystemSpec, ParsesEveryKey)
     EXPECT_EQ(spec.scratchpipe.future_window, 3u);
     EXPECT_FALSE(spec.scratchpipe.warm_start);
     EXPECT_FALSE(spec.scratchpipe.enforce_capacity_bound);
-    EXPECT_TRUE(spec.scratchpipe_tuned);
+    EXPECT_EQ(spec.tuned_groups, kScratchpadKeys);
 }
 
 TEST(SystemSpec, SummaryRoundTrips)
@@ -329,7 +329,7 @@ TEST(Registry, RunnerBitIdenticalToDirectBuildForAllFiveSystems)
     for (const auto &name : Registry::names()) {
         SystemSpec spec;
         spec.name = name;
-        if (Registry::entry(name).uses_cache_fraction)
+        if (Registry::entry(name).key_groups & kCacheKeys)
             spec.cache_fraction = kFraction;
 
         const RunResult via_runner = runner.run(spec);

@@ -52,7 +52,7 @@ TEST(ServingSpec, ParsesAndRoundTripsEveryKey)
         "refresh=lfu,burst_x=4,burst_on_us=250,burst_off_us=2000";
     const SystemSpec spec = SystemSpec::parse(text);
     EXPECT_EQ(spec.name, "serve");
-    EXPECT_TRUE(spec.serve_tuned);
+    EXPECT_EQ(spec.tuned_groups, kServeKeys);
     EXPECT_EQ(spec.serve.arrival.kind, data::ArrivalKind::Bursty);
     EXPECT_EQ(spec.serve.arrival.rate, 250000.0);
     EXPECT_EQ(spec.serve.batch_max, 16u);

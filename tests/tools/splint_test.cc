@@ -229,7 +229,7 @@ TEST(SplintIoStatus, DiscardedStatusCallFires)
         "src/sys/x.cc",
         "void f(Dataset &d, Store *s) {\n"
         "    d.saveTo(\"x\");\n"              // line 2: discarded
-        "    s->store.tryLoad(\"x\");\n"      // line 3: discarded
+        "    s->store.tryReplay(\"x\");\n"    // line 3: discarded
         "    Dataset::tryMapped(\"x\");\n"    // line 4: discarded
         "}\n");
     EXPECT_EQ(countRule(diags, "io-status"), 3u) << describe(diags);
@@ -243,7 +243,7 @@ TEST(SplintIoStatus, ConsumedStatusCallsDoNotFire)
         "void f(Dataset &d) {\n"
         "    const auto s = d.saveTo(\"x\");\n"     // assigned
         "    if (!d.saveTo(\"x\").ok()) return;\n"  // tested
-        "    return Dataset::tryLoad(\"x\");\n"     // returned
+        "    return Dataset::tryReplay(\"x\");\n"   // returned
         "}\n"
         "sp::Status\n"
         "Dataset::saveTo(const std::string &path) const\n" // definition

@@ -1,14 +1,19 @@
-// splint fixture tree: parses two spec keys, but the README only
-// documents "cache" -> spec-doc must fire for "zap".
+// splint fixture tree: a key table with two spec keys, but the README
+// only documents "cache" -> spec-doc must fire for "zap".
 
-#include <string>
-
-void
-parseFixtureSpec(const std::string &key)
+struct KeyRow
 {
-    if (key == "cache") {
-        // documented in ../../README.md
-    } else if (key == "zap") {
-        // undocumented -> spec-doc violation on this line's key
-    }
-}
+    const char *key;
+    unsigned group;
+};
+
+enum : unsigned
+{
+    kCacheKeys = 1,
+    kScratchpadKeys = 2,
+};
+
+const KeyRow kKeys[] = {
+    {"cache", kCacheKeys},     // documented in ../../README.md
+    {"zap", kScratchpadKeys},  // undocumented -> spec-doc violation
+};

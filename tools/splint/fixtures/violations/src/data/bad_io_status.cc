@@ -17,5 +17,5 @@ loadOrDie(Dataset &dataset, const std::string &path)
     panicIf(path.size() > 4096,        // violation: io-status
             "path too long");
     dataset.saveTo(path);              // violation: io-status (dropped)
-    Dataset::tryLoad(path);            // violation: io-status (dropped)
+    Dataset::tryReplay(path);          // violation: io-status (dropped)
 }

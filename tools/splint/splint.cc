@@ -46,7 +46,7 @@ const std::vector<Rule> kRules = {
      "sp::Result (common/status.h) so callers can degrade; panic/"
      "exit/terminate are for programmer errors only (justify with "
      "splint:allow). Never discard a Status-returning call "
-     "(saveTo/tryLoad/tryMapped/tryOpen) as a bare statement"},
+     "(saveTo/tryReplay/tryMapped/tryOpen) as a bare statement"},
     {"hot-path-marker", Severity::Error,
      "unbalanced splint:hot-path-begin/end markers",
      "every hot-path-begin(<name>) needs one hot-path-end in the "
@@ -173,7 +173,7 @@ lineRules()
         // compile time.)
         {"io-status",
          std::regex(R"(^\s*(?:[A-Za-z_]\w*\s*(?:\.|->|::)\s*)+)"
-                    R"((?:saveTo|tryLoad|tryMapped|tryOpen)\s*\()"
+                    R"((?:saveTo|tryReplay|tryMapped|tryOpen)\s*\()"
                     R"([^;]*\)\s*;\s*$)"),
          srcPath, false},
     };
@@ -269,16 +269,19 @@ lintKernelRegistration(const fs::path &root,
 }
 
 /**
- * spec-doc: every `key == "<k>"` comparison in a spec parser (system
- * specs in sys/spec.cc, workload specs in data/workload.cc) must have
- * a matching `<k>=` in README.md.
+ * spec-doc: every spec key must have a matching `<k>=` in README.md.
+ * System spec keys are the rows of sys/spec.cc's key table,
+ * `{"<k>", k<Group>Keys, ...}`; workload spec keys are the
+ * `key == "<k>"` comparisons in data/workload.cc.
  */
 void
 lintSpecDoc(const fs::path &root, std::vector<Diagnostic> &diagnostics)
 {
     const std::optional<std::string> readme =
         readFile(root / "README.md");
-    const std::regex key_pattern(R"(\bkey\s*==\s*"([A-Za-z0-9_]+)\")");
+    const std::regex key_pattern(
+        R"re(\bkey\s*==\s*"([A-Za-z0-9_]+)")re"
+        R"re(|\{\s*"([A-Za-z0-9_]+)"\s*,\s*k[A-Za-z]*Keys\b)re");
 
     const fs::path parsers[] = {root / "src" / "sys" / "spec.cc",
                                 root / "src" / "data" / "workload.cc"};
@@ -289,15 +292,15 @@ lintSpecDoc(const fs::path &root, std::vector<Diagnostic> &diagnostics)
 
         // The key names live inside string literals, so this check
         // reads the literal-preserving channel (comments still
-        // stripped: a commented-out `key == "old"` is not a parsed
-        // key).
+        // stripped: a commented-out key is not a parsed key).
         const std::vector<ScannedLine> lines = scanLines(*spec_text);
         for (size_t i = 0; i < lines.size(); ++i) {
             auto begin = std::sregex_iterator(
                 lines[i].code_with_literals.begin(),
                 lines[i].code_with_literals.end(), key_pattern);
             for (auto it = begin; it != std::sregex_iterator(); ++it) {
-                const std::string key = (*it)[1].str();
+                const std::string key =
+                    (*it)[(*it)[1].matched ? 1 : 2].str();
                 if (!readme.has_value() ||
                     readme->find(key + "=") == std::string::npos) {
                     diagnostics.push_back(makeDiagnostic(

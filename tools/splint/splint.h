@@ -29,14 +29,16 @@
  *                       never panic/exit/terminate (those are for
  *                       programmer errors, and need a justified
  *                       allow); and a Status-returning IO call
- *                       (saveTo/tryLoad/tryMapped/tryOpen) anywhere
+ *                       (saveTo/tryReplay/tryMapped/tryOpen) anywhere
  *                       in src/ must not be discarded as a bare
  *                       statement.
  *   kernel-registration every src/cache/probe_kernel_<arch>.cc TU
  *                       must be covered by the kernel-equivalence
  *                       harness's registration list.
- *   spec-doc            every spec key parsed in src/sys/spec.cc must
- *                       be documented in README.md.
+ *   spec-doc            every spec key (a row of src/sys/spec.cc's
+ *                       key table, or a key compared in
+ *                       src/data/workload.cc) must be documented in
+ *                       README.md.
  *
  * On top of the lexical rules, analyzeTree() runs the semantic pass:
  * a tree-wide symbol index (splint/index.h) feeds a call graph and an
