@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
+#include "data/dataset.h"
 #include "data/trace.h"
 
 namespace sp::data
@@ -137,6 +138,43 @@ TEST(Trace, ConfigHelpers)
     const TraceConfig config = smallConfig();
     EXPECT_EQ(config.idsPerTable(), 64u);
     EXPECT_EQ(config.idsPerBatch(), 192u);
+}
+
+/** FNV-1a over every ID of the first `batches` batches, table-major. */
+uint64_t
+idDigest(const TraceConfig &config, uint64_t batches)
+{
+    const TraceDataset dataset(config, batches);
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (uint64_t b = 0; b < batches; ++b)
+        for (size_t t = 0; t < config.num_tables; ++t)
+            for (const uint64_t id : dataset.batch(b).ids(t))
+                h = (h ^ id) * 0x100000001b3ull;
+    return h;
+}
+
+TEST(Trace, GeneratedIdsMatchPinnedDigest)
+{
+    // The trace cache serves an entry whenever fingerprint() matches,
+    // so the generator's bytes for a given config are a contract: a
+    // change here must come with a kTraceFormatVersion bump.
+    EXPECT_EQ(idDigest(smallConfig(), 8), 0x455831dd48ab81cbull);
+
+    TraceConfig mixed = smallConfig();
+    mixed.per_table_exponents = {0.0, 0.7, 1.3};
+    EXPECT_EQ(idDigest(mixed, 4), 0xfe93f81b994b85f9ull);
+
+    TraceConfig shaped = smallConfig();
+    shaped.workload.drift_amp = 0.3;
+    shaped.workload.drift_period = 4;
+    shaped.workload.churn_k = 16;
+    shaped.workload.churn_period = 3;
+    shaped.workload.burst_frac = 0.4;
+    shaped.workload.burst_period = 6;
+    shaped.workload.burst_len = 2;
+    shaped.workload.burst_ranks = 50;
+    shaped.workload.phase = 2;
+    EXPECT_EQ(idDigest(shaped, 12), 0xc0f2a9ac664009f3ull);
 }
 
 TEST(Trace, InvalidConfigsFatal)
