@@ -18,11 +18,8 @@ namespace
 uint64_t
 envOr(const char *name, uint64_t fallback)
 {
-    const char *value = std::getenv(name);
-    if (value == nullptr)
-        return fallback;
-    const long long parsed = std::atoll(value);
-    return parsed > 0 ? static_cast<uint64_t>(parsed) : fallback;
+    const uint64_t parsed = envInteger(name, 0);
+    return parsed > 0 ? parsed : fallback;
 }
 
 /** The --workload spec applyCommonFlags parsed, consumed by every
@@ -77,6 +74,11 @@ applyCommonFlags(const ArgParser &args)
     // so the whole figure family runs the shaped (or replayed) stream.
     activeWorkload() = data::WorkloadSpec::parse(
         args.getString("workload"));
+
+    // Read the SP_BENCH_* counts now: a malformed one is a usage
+    // error here, not an abort inside the first workload.
+    warmupIterations();
+    measureIterations();
 
     const uint32_t jobs = parseJobsArg(args);
     if (args.wasSet("jobs")) {

@@ -37,10 +37,10 @@
 namespace sp::bench
 {
 
-/** Warm-up batches before measurement (default 25). */
+/** Warm-up batches before measurement: SP_BENCH_WARMUP, default 5. */
 uint64_t warmupIterations();
 
-/** Measured batches (default 15). */
+/** Measured batches: SP_BENCH_MEASURE, default 10. */
 uint64_t measureIterations();
 
 /**

@@ -177,6 +177,15 @@ parseJobsArg(const ArgParser &args)
     return static_cast<uint32_t>(jobs);
 }
 
+uint64_t
+envInteger(const char *name, uint64_t fallback, uint64_t max)
+{
+    const char *value = std::getenv(name);
+    return value == nullptr
+               ? fallback
+               : KeyValueGrammar("environment").integer(name, value, max);
+}
+
 std::string
 ArgParser::usage() const
 {

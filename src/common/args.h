@@ -99,6 +99,14 @@ inline constexpr int64_t kMaxJobs = 4096;
 uint32_t parseJobsArg(const ArgParser &args);
 
 /**
+ * Environment variable `name` read by KeyValueGrammar::integer's rules
+ * (decimal digits, at most `max`), or `fallback` when it is unset.
+ * Anything else is fatal() naming the variable.
+ */
+uint64_t envInteger(const char *name, uint64_t fallback,
+                    uint64_t max = std::numeric_limits<uint64_t>::max());
+
+/**
  * The `key=value[,key=value...]` list grammar of system and workload
  * specs. Every diagnostic is fatal() and starts with the caller's
  * prefix ("system spec: ...", "workload spec: ...").

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 
+#include "common/args.h"
 #include "common/logging.h"
 
 namespace sp::common
@@ -253,11 +253,9 @@ std::unique_ptr<ThreadPool> g_global_pool;
 size_t
 ThreadPool::defaultThreads()
 {
-    if (const char *env = std::getenv("SP_JOBS")) {
-        const long parsed = std::strtol(env, nullptr, 10);
-        if (parsed > 0)
-            return static_cast<size_t>(parsed);
-    }
+    // Unset and 0 both mean all cores, as --jobs 0 does.
+    if (const uint64_t jobs = envInteger("SP_JOBS", 0, kMaxJobs))
+        return jobs;
     const unsigned hardware = std::thread::hardware_concurrency();
     return hardware == 0 ? 1 : hardware;
 }

@@ -160,6 +160,8 @@ class ThreadPool
     /**
      * Width of global() before it is created: SP_JOBS when set to a
      * positive integer, else std::thread::hardware_concurrency().
+     * SP_JOBS must be decimal digits <= kMaxJobs, like --jobs;
+     * anything else is fatal().
      */
     static size_t defaultThreads();
 

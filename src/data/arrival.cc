@@ -72,8 +72,8 @@ ArrivalConfig::validationError() const
         return "rate must be a positive, finite request rate "
                "(requests/second); rate=0 makes every inter-arrival "
                "gap divide by zero";
-    if (kind != ArrivalKind::Bursty)
-        return "";
+    // The burst keys are range-checked for every kind: a spec may set
+    // them whatever its arrival, and they print into its summary.
     if (!(burst_x >= 1.0) || !std::isfinite(burst_x))
         return "burst_x must be a finite on-phase multiplier >= 1";
     if (!(burst_on_us > 0.0) || !std::isfinite(burst_on_us))
@@ -82,7 +82,8 @@ ArrivalConfig::validationError() const
     if (!(burst_off_us > 0.0) || !std::isfinite(burst_off_us))
         return "burst_off_us must be a positive, finite off-phase "
                "length (microseconds)";
-    if (burst_x * burst_on_us > burst_on_us + burst_off_us)
+    if (kind == ArrivalKind::Bursty &&
+        burst_x * burst_on_us > burst_on_us + burst_off_us)
         return "burst_x * burst_on_us exceeds the period: the "
                "off-phase rate that preserves the mean would be "
                "negative";

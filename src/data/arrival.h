@@ -58,7 +58,8 @@ struct ArrivalConfig
      *  positive, finite number: rate=0 would divide every
      *  inter-arrival gap by zero. */
     double rate = 1.0e6;
-    /** Bursty only: on-phase rate multiplier (>= 1). */
+    /** Bursty only: on-phase rate multiplier (>= 1; the three burst
+     *  keys are range-checked whatever the kind). */
     double burst_x = 8.0;
     /** Bursty only: on-phase length, microseconds (> 0). Spec-facing
      *  durations are stored in the unit they are typed in so the spec
@@ -70,8 +71,9 @@ struct ArrivalConfig
     /**
      * Human-readable reason this config is invalid, or "" when it is
      * fine (same contract as WorkloadConfig::validationError). Checks
-     * the rate and, for bursty, that the off-phase rate implied by the
-     * mean-preserving modulation is non-negative
+     * the rate, the burst keys' ranges and, for bursty, that the
+     * off-phase rate implied by the mean-preserving modulation is
+     * non-negative
      * (burst_x * burst_on_us <= burst_on_us + burst_off_us).
      */
     std::string validationError() const;

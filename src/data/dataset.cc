@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <fstream>
+#include <memory>
 
 #include "common/fault.h"
 #include "common/logging.h"
@@ -17,42 +19,54 @@ TraceDataset::TraceDataset(const TraceConfig &config, uint64_t num_batches)
     : config_(config), generator_(config)
 {
     fatalIf(num_batches == 0, "dataset needs at least one batch");
+    const uint64_t words = 1 + config_.idsPerBatch(); // index + IDs
+    fatalIf(num_batches > SIZE_MAX / sizeof(uint64_t) / words,
+            "a trace of ", num_batches, " batches does not fit in memory");
     // Each batch is an independent seeded stream (deterministic per
     // index, see trace.h), so generation parallelises with
-    // bit-identical results: worker i only writes batches_[i].
-    batches_.resize(num_batches);
-    common::parallelFor(num_batches, [this](size_t i) {
-        batches_[i] = generator_.makeBatch(i);
+    // bit-identical results: worker i only writes record i. The image
+    // is not zero-filled first, so each page is first touched by the
+    // worker that generates into it.
+    std::shared_ptr<uint64_t[]> image =
+        std::make_unique_for_overwrite<uint64_t[]>(num_batches * words);
+    common::parallelFor(num_batches, [&](size_t i) {
+        uint64_t *record = image.get() + i * words;
+        record[0] = i;
+        generator_.makeBatch(i, {record + 1, words - 1});
     });
+    image_ = std::move(image);
+    viewRecords(num_batches, "generated trace");
 }
 
 TraceDataset::TraceDataset(std::shared_ptr<TraceView> view,
                            uint64_t max_batches)
     : config_(view->config()), generator_(view->config()),
-      view_(std::move(view))
+      image_(view, view->records().data()), mapped_(true)
 {
-    const uint64_t num_batches =
-        max_batches == 0
-            ? view_->numBatches()
-            : std::min<uint64_t>(max_batches, view_->numBatches());
-    // Warm start: no ID bytes move -- each batch is a handful of spans
-    // into the mapping, built in O(num_tables) per batch. Reading the
-    // index word does fault in one page per batch; that is deliberate:
-    // an entry with scribbled interior indices must be detected here,
-    // where TraceStore can still classify it as a miss and regenerate,
-    // not as a panic in the middle of a simulation.
+    // Warm start: no ID bytes move; image_ shares ownership of the
+    // mapping and points at its records.
+    viewRecords(max_batches == 0
+                    ? view->numBatches()
+                    : std::min<uint64_t>(max_batches, view->numBatches()),
+                view->path());
+}
+
+void
+TraceDataset::viewRecords(uint64_t num_batches, const std::string &source)
+{
+    const uint64_t words = 1 + config_.idsPerBatch(); // index + IDs
+    // Reading the index word faults in one page per mapped batch; that
+    // is deliberate: an entry with scribbled interior indices must be
+    // detected here, where TraceStore can still classify it as a miss
+    // and regenerate, not as a panic in the middle of a simulation.
     batches_.resize(num_batches);
     for (uint64_t b = 0; b < num_batches; ++b) {
-        MiniBatch &batch = batches_[b];
-        batch.index = view_->batchIndex(b);
-        failIf(batch.index != b, ErrorCode::Corrupt, "'",
-               view_->path(), "' stores batch index ", batch.index,
-               " at position ", b, "; the file is corrupt");
-        batch.batch_size = config_.batch_size;
-        batch.lookups_per_table = config_.lookups_per_table;
-        batch.table_views.resize(config_.num_tables);
-        for (size_t t = 0; t < config_.num_tables; ++t)
-            batch.table_views[t] = view_->ids(b, t);
+        const uint64_t *record = image_.get() + b * words;
+        failIf(record[0] != b, ErrorCode::Corrupt, "'", source,
+               "' stores batch index ", record[0], " at position ", b,
+               "; the file is corrupt");
+        batches_[b] = {b, config_.batch_size, config_.lookups_per_table,
+                       {record + 1, words - 1}};
     }
 }
 
@@ -116,19 +130,11 @@ TraceDataset::saveTo(const std::string &path) const
         return writeFailure(path, "opening");
 
     try {
-        format::writeHeader(os, config_,
-                            static_cast<uint64_t>(batches_.size()));
-        for (const auto &batch : batches_) {
-            SP_FAULT_POINT("dataset.save.write");
-            os.write(reinterpret_cast<const char *>(&batch.index),
-                     sizeof(batch.index));
-            for (size_t t = 0; t < batch.numTables(); ++t) {
-                const auto ids = batch.ids(t);
-                os.write(reinterpret_cast<const char *>(ids.data()),
-                         static_cast<std::streamsize>(
-                             ids.size() * sizeof(uint64_t)));
-            }
-        }
+        format::writeHeader(os, config_, numBatches());
+        SP_FAULT_POINT("dataset.save.write");
+        os.write(reinterpret_cast<const char *>(image_.get()),
+                 static_cast<std::streamsize>(
+                     numBatches() * format::batchRecordBytes(config_)));
     } catch (const StatusError &e) {
         return e.status();
     }

@@ -2,17 +2,17 @@
  * @file
  * Materialised training dataset with look-ahead.
  *
- * TraceDataset owns a window of pre-generated mini-batches and exposes
- * the capability the paper builds on: any consumer may inspect not only
- * the current mini-batch's sparse IDs but those of *future* batches
- * (the dataset is recorded ahead of time). The ScratchPipe [Plan] stage
- * uses lookAhead() to build its future window; the baseline systems
- * simply iterate.
+ * TraceDataset holds a trace recorded ahead of time and exposes the
+ * capability the paper builds on: any consumer may inspect not only
+ * the current mini-batch's sparse IDs but those of *future* batches.
+ * The ScratchPipe [Plan] stage uses lookAhead() to build its future
+ * window; the baseline systems simply iterate.
  *
- * Datasets can be saved to a compact binary format so experiments can
- * be re-run on the exact same trace (trace_format.h). A saved file is
- * read back through mapped(), which wraps an mmap'd TraceView and
- * serves every batch zero-copy out of the file mapping.
+ * The trace lives in one layout, the batch records of the on-disk
+ * format (trace_format.h): a generated dataset fills an image of them
+ * in memory, a mapped() one serves the records of an mmap'd TraceView
+ * zero-copy. Either way every MiniBatch is a view into that image, and
+ * save() writes the image out as it is.
  */
 
 #ifndef SP_DATA_DATASET_H
@@ -103,15 +103,21 @@ class TraceDataset
                                               uint64_t max_batches = 0);
 
     /** True when batches are served from an mmap'd view. */
-    bool isMapped() const { return view_ != nullptr; }
+    bool isMapped() const { return mapped_; }
 
   private:
+    /** Point one MiniBatch at each of the first `num_batches` records
+     *  of image_; a record whose index word is not its position is
+     *  Corrupt (`source` names the trace in the diagnostic). */
+    void viewRecords(uint64_t num_batches, const std::string &source);
+
     TraceConfig config_;
     TraceGenerator generator_;
+    // The batch records: owned when generated, the file mapping's when
+    // mapped. Shared so copies and moves keep every batch's view valid.
+    std::shared_ptr<const uint64_t[]> image_;
     std::vector<MiniBatch> batches_;
-    // Keeps the mapping alive for view-backed batches; shared so the
-    // dataset stays movable/copyable.
-    std::shared_ptr<TraceView> view_;
+    bool mapped_ = false;
 };
 
 } // namespace sp::data

@@ -102,18 +102,9 @@ TraceConfig::fingerprint() const
 bool
 MiniBatch::idsEqual(const MiniBatch &other) const
 {
-    if (index != other.index || batch_size != other.batch_size ||
-        lookups_per_table != other.lookups_per_table ||
-        numTables() != other.numTables())
-        return false;
-    for (size_t t = 0; t < numTables(); ++t) {
-        const auto mine = ids(t);
-        const auto theirs = other.ids(t);
-        if (!std::equal(mine.begin(), mine.end(), theirs.begin(),
-                        theirs.end()))
-            return false;
-    }
-    return true;
+    return index == other.index && batch_size == other.batch_size &&
+           lookups_per_table == other.lookups_per_table &&
+           std::ranges::equal(payload, other.payload);
 }
 
 TraceGenerator::TraceGenerator(const TraceConfig &config) : config_(config)
@@ -131,10 +122,6 @@ TraceGenerator::TraceGenerator(const TraceConfig &config) : config_(config)
     const std::string workload_error =
         config_.workload.validationError(config_.rows_per_table);
     fatalIf(!workload_error.empty(), "workload config: ", workload_error);
-
-    samplers_.reserve(config_.num_tables);
-    for (size_t t = 0; t < config_.num_tables; ++t)
-        samplers_.emplace_back(config_.rows_per_table, tableExponent(t));
 }
 
 double
@@ -158,36 +145,21 @@ TraceGenerator::streamSeed(uint64_t stream_kind, uint64_t table,
     return h;
 }
 
-MiniBatch
-TraceGenerator::makeBatch(uint64_t index) const
+void
+TraceGenerator::makeBatch(uint64_t index, std::span<uint64_t> ids) const
 {
-    MiniBatch batch;
-    batch.index = index;
-    batch.batch_size = config_.batch_size;
-    batch.lookups_per_table = config_.lookups_per_table;
-    batch.table_ids.resize(config_.num_tables);
-
+    // splint:allow(io-status): caller-bug size check, not I/O
+    panicIf(ids.size() != config_.idsPerBatch(), "makeBatch needs ",
+            config_.idsPerBatch(), " IDs of room, got ", ids.size());
     const size_t ids_per_table = config_.idsPerTable();
-    const bool stationary = config_.workload.stationary();
     for (size_t t = 0; t < config_.num_tables; ++t) {
         tensor::Rng rng(streamSeed(kStreamIds, t, index));
-        auto &ids = batch.table_ids[t];
-        ids.resize(ids_per_table);
-        if (stationary) {
-            // Classic path: byte-identical to the pre-workload
-            // generator (the shaper would reproduce it, but skipping
-            // construction keeps the hot path allocation-free).
-            for (size_t i = 0; i < ids_per_table; ++i)
-                ids[i] = samplers_[t].sample(rng);
-        } else {
-            WorkloadShaper shaper(config_.workload, config_.seed,
-                                  config_.rows_per_table,
-                                  tableExponent(t), t, index);
-            for (size_t i = 0; i < ids_per_table; ++i)
-                ids[i] = shaper.sample(rng);
-        }
+        WorkloadShaper shaper(config_.workload, config_.seed,
+                              config_.rows_per_table, tableExponent(t),
+                              t, index);
+        for (uint64_t &id : ids.subspan(t * ids_per_table, ids_per_table))
+            id = shaper.sample(rng);
     }
-    return batch;
 }
 
 tensor::Matrix
@@ -208,7 +180,8 @@ TraceGenerator::makeLabels(uint64_t index) const
     // through the embedding tables). The label is a Bernoulli draw on
     // the sigmoid of the combined score, so training has real signal
     // to extract along both paths.
-    const MiniBatch batch = makeBatch(index);
+    std::vector<uint64_t> ids(config_.idsPerBatch());
+    makeBatch(index, ids);
     const tensor::Matrix dense = makeDenseFeatures(index);
     tensor::Rng rng(streamSeed(kStreamLabel, 0, index));
     tensor::Matrix labels(config_.batch_size, 1);
@@ -221,9 +194,10 @@ TraceGenerator::makeLabels(uint64_t index) const
     for (size_t i = 0; i < config_.batch_size; ++i) {
         double score = 0.0;
         for (size_t t = 0; t < config_.num_tables; ++t) {
-            const auto ids = batch.ids(t);
+            const uint64_t *sample_ids =
+                ids.data() + t * config_.idsPerTable() + i * lookups;
             for (size_t l = 0; l < lookups; ++l) {
-                const uint64_t h = mix64(ids[i * lookups + l] + 7919 * t);
+                const uint64_t h = mix64(sample_ids[l] + 7919 * t);
                 score += ((h & 1) ? 1.0 : -1.0) * id_scale;
             }
         }

@@ -20,14 +20,12 @@
 
 #include <cstdint>
 #include <cstddef>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "data/locality.h"
 #include "data/workload.h"
-#include "data/zipf.h"
 #include "tensor/matrix.h"
 
 namespace sp::data
@@ -76,12 +74,10 @@ struct TraceConfig
 /**
  * One mini-batch of sparse IDs: the unit the pipeline operates on.
  *
- * A batch is backed in one of two ways: the generator path owns its
- * IDs in `table_ids`, while an mmap-backed dataset (trace_view.h)
- * fills `table_views` with spans straight into the file mapping and
- * leaves `table_ids` empty -- no deserialisation, no copies. Consumers
- * read through ids()/numTables(), which serve either backing; only the
- * generator touches `table_ids` directly.
+ * A view of one batch record of a trace image (trace_format.h): the
+ * IDs of every table back to back, table-major. TraceDataset owns the
+ * image -- generated into memory or mapped from a trace file -- and
+ * every MiniBatch it hands out points into it; no batch owns IDs.
  */
 struct MiniBatch
 {
@@ -90,29 +86,25 @@ struct MiniBatch
     size_t batch_size = 0;
     size_t lookups_per_table = 0;
     /**
-     * table_ids[t] holds batch_size * lookups_per_table row IDs for
-     * table t; the IDs for sample i are the contiguous slice
-     * [i*L, (i+1)*L). Empty for view-backed batches.
+     * numTables() runs of batch_size * lookups_per_table row IDs; in
+     * ids(t), the IDs for sample i are the slice [i*L, (i+1)*L).
      */
-    std::vector<std::vector<uint64_t>> table_ids;
-    /** Zero-copy backing: spans into an mmap'd trace file. */
-    std::vector<std::span<const uint64_t>> table_views;
+    std::span<const uint64_t> payload;
+
+    size_t idsPerTable() const { return batch_size * lookups_per_table; }
 
     size_t numTables() const
     {
-        return table_views.empty() ? table_ids.size()
-                                   : table_views.size();
+        return payload.empty() ? 0 : payload.size() / idsPerTable();
     }
 
-    /** Table t's row IDs, whichever backing holds them. */
+    /** Table t's row IDs. */
     std::span<const uint64_t> ids(size_t t) const
     {
-        return table_views.empty()
-                   ? std::span<const uint64_t>(table_ids[t])
-                   : table_views[t];
+        return payload.subspan(t * idsPerTable(), idsPerTable());
     }
 
-    /** Element-wise ID equality across backings (tests, validation). */
+    /** Index, geometry and ID equality (tests, validation). */
     bool idsEqual(const MiniBatch &other) const;
 };
 
@@ -124,8 +116,12 @@ class TraceGenerator
 
     const TraceConfig &config() const { return config_; }
 
-    /** Materialise mini-batch `index` (deterministic per index). */
-    MiniBatch makeBatch(uint64_t index) const;
+    /**
+     * Write mini-batch `index`'s IDs (deterministic per index) into
+     * `ids`, which holds idsPerBatch() of them: one idsPerTable() run
+     * per table, the payload of a batch record.
+     */
+    void makeBatch(uint64_t index, std::span<uint64_t> ids) const;
 
     /**
      * Dense features for batch `index`: batch_size x dense_features,
@@ -148,9 +144,6 @@ class TraceGenerator
                         uint64_t index) const;
 
     TraceConfig config_;
-    // One sampler per table; sample() is const in effect but the
-    // sampler caches its normaliser, hence mutable.
-    mutable std::vector<ZipfSampler> samplers_;
 };
 
 } // namespace sp::data

@@ -76,14 +76,6 @@ batchRecordBytes(const TraceConfig &config)
                    static_cast<uint64_t>(config.idsPerTable());
 }
 
-uint64_t
-idsOffset(const TraceConfig &config, uint64_t b, uint64_t t)
-{
-    return headerBytes(config) + b * batchRecordBytes(config) + 8 +
-           t * sizeof(uint64_t) *
-               static_cast<uint64_t>(config.idsPerTable());
-}
-
 void
 writeHeader(std::ostream &os, const TraceConfig &config,
             uint64_t num_batches)

@@ -34,9 +34,10 @@
  *   u64 ids[num_tables][batch_size * lookups_per_table]
  *
  * Every batch record has the same computable size, so a reader can mmap
- * the file and serve any (batch, table) ID slice as a pointer into the
- * mapping: the ID payload is always 8-byte aligned (the header size and
- * each record are multiples of 8 bytes).
+ * the file and serve the records as one array of u64 words: they are
+ * always 8-byte aligned (the header size and each record are multiples
+ * of 8 bytes). This record layout is also the in-memory layout of a
+ * generated trace (dataset.h).
  *
  * Version 1 files omitted the per-table exponents; version 2 files
  * stored 32-bit IDs (truncating tables above 2^32 rows) and knew no
@@ -72,9 +73,6 @@ uint64_t headerBytes(const TraceConfig &config);
 
 /** Size of one batch record: index word + the ID payload. */
 uint64_t batchRecordBytes(const TraceConfig &config);
-
-/** Byte offset of table `t`'s IDs inside batch `b`'s record. */
-uint64_t idsOffset(const TraceConfig &config, uint64_t b, uint64_t t);
 
 /** Write the v3 header. The caller checks stream state. */
 void writeHeader(std::ostream &os, const TraceConfig &config,

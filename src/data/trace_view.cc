@@ -1,7 +1,6 @@
 #include "data/trace_view.h"
 
 #include <cerrno>
-#include <cstring>
 
 #include "common/fault.h"
 #include "common/logging.h"
@@ -57,15 +56,19 @@ TraceView::open(const std::string &path)
     view->config_ = header.config;
     view->num_batches_ = header.num_batches;
     // validateHeader proved the batch count against the file size;
-    // re-derive the size from the offset arithmetic ids() will use,
-    // so the validator and the accessors can never drift apart (every
+    // re-derive the size from the record arithmetic records() uses,
+    // so the validator and the accessor can never drift apart (the
     // span served below is inside the mapping iff this holds).
-    SP_ASSERT(format::headerBytes(view->config_) +
-                      header.num_batches *
-                          format::batchRecordBytes(view->config_) ==
-                  size,
-              "trace '", path, "': accessor arithmetic disagrees with "
+    const uint64_t header_bytes = format::headerBytes(view->config_);
+    const uint64_t record_bytes = format::batchRecordBytes(view->config_);
+    SP_ASSERT(header_bytes + header.num_batches * record_bytes == size,
+              "trace '", path, "': record arithmetic disagrees with "
               "the validated file size ", size);
+    // The header is a multiple of 8 bytes, so the records are 8-aligned
+    // in the page-aligned mapping and the reinterpret_cast is sound.
+    view->records_ = {
+        reinterpret_cast<const uint64_t *>(view->data_ + header_bytes),
+        header.num_batches * record_bytes / sizeof(uint64_t)};
     return view;
 }
 
@@ -85,42 +88,6 @@ TraceView::~TraceView()
 {
     if (data_ != nullptr)
         ::munmap(const_cast<unsigned char *>(data_), size_);
-}
-
-uint64_t
-TraceView::batchIndex(uint64_t b) const
-{
-    // splint:allow(io-status): caller-bug bounds check, not I/O
-    panicIf(b >= num_batches_, "batch index ", b, " out of range (",
-            num_batches_, " batches in '", path_, "')");
-    uint64_t index = 0;
-    std::memcpy(&index,
-                data_ + format::headerBytes(config_) +
-                    b * format::batchRecordBytes(config_),
-                sizeof(index));
-    return index;
-}
-
-std::span<const uint64_t>
-TraceView::ids(uint64_t b, uint64_t t) const
-{
-    // splint:allow(io-status): caller-bug bounds check, not I/O
-    panicIf(b >= num_batches_, "batch index ", b, " out of range (",
-            num_batches_, " batches in '", path_, "')");
-    // splint:allow(io-status): caller-bug bounds check, not I/O
-    panicIf(t >= config_.num_tables, "table index ", t,
-            " out of range (", config_.num_tables, " tables in '",
-            path_, "')");
-    // The ID payload is 8-aligned by the format's construction (see
-    // trace_format.h), so the reinterpret_cast is well-defined here.
-    SP_ASSERT(format::idsOffset(config_, b, t) +
-                      config_.idsPerTable() * sizeof(uint64_t) <=
-                  size_,
-              "ids span of batch ", b, " table ", t, " overruns '",
-              path_, "' (", size_, " bytes)");
-    const unsigned char *base = data_ + format::idsOffset(config_, b, t);
-    return {reinterpret_cast<const uint64_t *>(base),
-            config_.idsPerTable()};
 }
 
 } // namespace sp::data

@@ -3,12 +3,12 @@
  * Zero-copy mmap view over a serialised trace file.
  *
  * A TraceView maps a v3 trace file (see trace_format.h) read-only into
- * the address space and serves any (batch, table) ID slice as a span
- * pointing straight into the mapping -- warm-starting a paper-scale
- * sweep costs one mmap plus header validation instead of regenerating
- * (or even rereading) gigabytes of IDs. The header is fully validated
- * at open() time, including an exact file-size check, so a span handed
- * out later can never run off the mapping. This is the one reader of
+ * the address space and serves its batch records as one span pointing
+ * straight into the mapping -- warm-starting a paper-scale sweep costs
+ * one mmap plus header validation instead of regenerating (or even
+ * rereading) gigabytes of IDs. The header is fully validated at open()
+ * time, including an exact file-size check, so the records span can
+ * never run off the mapping. This is the one reader of
  * the trace format: the trace cache, replay and every saved-trace
  * consumer go through it.
  */
@@ -50,11 +50,9 @@ class TraceView
     const TraceConfig &config() const { return config_; }
     uint64_t numBatches() const { return num_batches_; }
 
-    /** The index recorded for batch `b` (equals b in a valid file). */
-    uint64_t batchIndex(uint64_t b) const;
-
-    /** Table `t`'s IDs for batch `b`: a span into the mapping. */
-    std::span<const uint64_t> ids(uint64_t b, uint64_t t) const;
+    /** The numBatches() batch records, back to back: a span into the
+     *  mapping (8-aligned by the format's construction). */
+    std::span<const uint64_t> records() const { return records_; }
 
   private:
     TraceView() = default;
@@ -62,6 +60,7 @@ class TraceView
     std::string path_;
     TraceConfig config_;
     uint64_t num_batches_ = 0;
+    std::span<const uint64_t> records_;
     const unsigned char *data_ = nullptr;
     uint64_t size_ = 0;
 };

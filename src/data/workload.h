@@ -121,10 +121,11 @@ struct WorkloadSpec
 /**
  * Per-(table, batch) shaping state: resolves the schedule position,
  * the effective exponent, the churn permutation and the burst window
- * once, then shapes each sampled ID. Constructed inside makeBatch for
- * every non-stationary (table, batch) pair -- construction is O(1)
- * except for the O(churn_k) permutation, and holds no shared state,
- * so concurrent makeBatch calls stay safe.
+ * once, then shapes each sampled ID. TraceGenerator::makeBatch builds
+ * one for every (table, batch) pair, stationary configs included (with
+ * no shaping knobs set it draws exactly the table's Zipf stream) --
+ * construction is O(1) except for the O(churn_k) permutation, and
+ * holds no shared state, so concurrent makeBatch calls stay safe.
  */
 class WorkloadShaper
 {

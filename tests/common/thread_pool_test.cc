@@ -3,10 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "common/args.h"
+#include "common/logging.h"
 #include "common/thread_pool.h"
 
 namespace sp::common
@@ -246,6 +251,50 @@ TEST(ThreadPool, GlobalPoolIsUsableAndSized)
 TEST(ThreadPool, DefaultThreadsPositive)
 {
     EXPECT_GE(ThreadPool::defaultThreads(), 1u);
+}
+
+/** Sets an environment variable for one scope, then restores it. */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *name, const std::string &value) : name_(name)
+    {
+        if (const char *old = std::getenv(name))
+            old_ = old;
+        ::setenv(name, value.c_str(), 1);
+    }
+    ~ScopedEnv()
+    {
+        if (old_)
+            ::setenv(name_, old_->c_str(), 1);
+        else
+            ::unsetenv(name_);
+    }
+
+  private:
+    const char *name_;
+    std::optional<std::string> old_;
+};
+
+TEST(ThreadPool, DefaultThreadsHonoursSpJobsBound)
+{
+    // Regression: SP_JOBS went through strtol, so "8x" meant 8 and no
+    // kMaxJobs cap applied. Only the width is read; no pool is built.
+    {
+        const ScopedEnv env("SP_JOBS", "3");
+        EXPECT_EQ(ThreadPool::defaultThreads(), 3u);
+    }
+    {
+        const ScopedEnv env("SP_JOBS", std::to_string(kMaxJobs));
+        EXPECT_EQ(ThreadPool::defaultThreads(),
+                  static_cast<size_t>(kMaxJobs));
+    }
+    for (const std::string &bad : std::vector<std::string>{
+             "8x", "-2", "0x10", "", std::to_string(kMaxJobs + 1)}) {
+        const ScopedEnv env("SP_JOBS", bad);
+        EXPECT_THROW(ThreadPool::defaultThreads(), FatalError)
+            << "SP_JOBS='" << bad << "'";
+    }
 }
 
 } // namespace

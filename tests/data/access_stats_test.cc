@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/logging.h"
 #include "data/access_stats.h"
 
@@ -10,13 +12,22 @@ namespace sp::data
 namespace
 {
 
-MiniBatch
-batchWithIds(std::vector<std::vector<uint64_t>> ids)
+/** One batch record owned by the test (every table the same length);
+ *  converts to the MiniBatch view addBatch() reads. */
+struct OwnedBatch
 {
-    MiniBatch batch;
-    batch.batch_size = 1;
-    batch.lookups_per_table = ids.empty() ? 0 : ids[0].size();
-    batch.table_ids = std::move(ids);
+    std::vector<uint64_t> ids;
+    size_t lookups = 0;
+
+    operator MiniBatch() const { return {0, 1, lookups, ids}; }
+};
+
+OwnedBatch
+batchWithIds(const std::vector<std::vector<uint64_t>> &tables)
+{
+    OwnedBatch batch{{}, tables[0].size()};
+    for (const auto &table : tables)
+        batch.ids.insert(batch.ids.end(), table.begin(), table.end());
     return batch;
 }
 
@@ -85,9 +96,9 @@ TEST(AccessStats, UniqueRows)
 TEST(AccessStats, MultipleTablesIndependent)
 {
     AccessStats stats(2, 10);
-    stats.addBatch(batchWithIds({{1, 1}, {9}}));
+    stats.addBatch(batchWithIds({{1, 1}, {9, 2}}));
     EXPECT_EQ(stats.totalAccesses(0), 2u);
-    EXPECT_EQ(stats.totalAccesses(1), 1u);
+    EXPECT_EQ(stats.totalAccesses(1), 2u);
     EXPECT_EQ(stats.counts(1)[9], 1u);
     EXPECT_EQ(stats.counts(1)[1], 0u);
 }

@@ -170,5 +170,29 @@ TEST(Arrival, RejectsImpossibleBurstShapes)
     EXPECT_TRUE(config.validationError().empty());
 }
 
+TEST(Arrival, BurstKeysCheckedForEveryKind)
+{
+    // Regression: validation returned early for non-bursty kinds, so
+    // a NaN or negative burst key passed, was ignored, and printed
+    // into the system name.
+    for (const ArrivalKind kind :
+         {ArrivalKind::Poisson, ArrivalKind::Uniform}) {
+        ArrivalConfig config;
+        config.kind = kind;
+        config.burst_x = std::nan("");
+        EXPECT_FALSE(config.validationError().empty());
+        config.burst_x = 8.0;
+        config.burst_on_us = 0.0;
+        EXPECT_FALSE(config.validationError().empty());
+        config.burst_on_us = 500.0;
+        config.burst_off_us = -1.0;
+        EXPECT_FALSE(config.validationError().empty());
+        // The period check only concerns the bursty off-phase.
+        config.burst_off_us = 500.0;
+        config.burst_x = 20.0;
+        EXPECT_TRUE(config.validationError().empty());
+    }
+}
+
 } // namespace
 } // namespace sp::data

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/status.h"
@@ -62,8 +65,22 @@ TEST(Dataset, MatchesGeneratorOutput)
 {
     TraceDataset dataset(smallConfig(), 5);
     TraceGenerator gen(smallConfig());
-    for (uint64_t b = 0; b < 5; ++b)
-        EXPECT_EQ(dataset.batch(b).table_ids, gen.makeBatch(b).table_ids);
+    std::vector<uint64_t> ids(gen.config().idsPerBatch());
+    for (uint64_t b = 0; b < 5; ++b) {
+        gen.makeBatch(b, ids);
+        EXPECT_TRUE(std::ranges::equal(dataset.batch(b).payload, ids));
+    }
+}
+
+TEST(Dataset, CopyOutlivesOriginal)
+{
+    // Batches view a shared image, so a copy must keep it alive.
+    std::optional<TraceDataset> original(std::in_place, smallConfig(), 4);
+    const TraceDataset copy = *original;
+    original.reset();
+    const TraceDataset reference(smallConfig(), 4);
+    for (uint64_t b = 0; b < 4; ++b)
+        EXPECT_TRUE(copy.batch(b).idsEqual(reference.batch(b)));
 }
 
 TEST(Dataset, LookAheadSeesFuture)
@@ -72,7 +89,7 @@ TEST(Dataset, LookAheadSeesFuture)
     const MiniBatch *ahead = dataset.lookAhead(2, 3);
     ASSERT_NE(ahead, nullptr);
     EXPECT_EQ(ahead->index, 5u);
-    EXPECT_EQ(ahead->table_ids, dataset.batch(5).table_ids);
+    EXPECT_TRUE(ahead->idsEqual(dataset.batch(5)));
 }
 
 TEST(Dataset, LookAheadZeroIsSelf)
@@ -214,14 +231,17 @@ TEST(Dataset, MappedServesIdenticalBatchesZeroCopy)
     TraceDataset original(config, 6);
     original.save(file.path());
 
-    const TraceDataset mapped = TraceDataset::mapped(file.path());
+    const auto view = TraceView::open(file.path());
+    const TraceDataset mapped(view);
     EXPECT_TRUE(mapped.isMapped());
     EXPECT_TRUE(mapped.config() == config);
     ASSERT_EQ(mapped.numBatches(), 6u);
+    const size_t record_words = 1 + config.idsPerBatch();
     for (uint64_t b = 0; b < 6; ++b) {
         EXPECT_TRUE(mapped.batch(b).idsEqual(original.batch(b)));
-        // Zero-copy: the view path owns no ID storage.
-        EXPECT_TRUE(mapped.batch(b).table_ids.empty());
+        // Zero-copy: each batch views its record inside the mapping.
+        EXPECT_EQ(mapped.batch(b).payload.data(),
+                  view->records().data() + b * record_words + 1);
         EXPECT_EQ(mapped.batch(b).numTables(), config.num_tables);
     }
     // Look-ahead and generator-derived streams work over the mapping.

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/logging.h"
 #include "data/dataset.h"
 #include "data/trace.h"
@@ -25,44 +28,48 @@ smallConfig()
     return config;
 }
 
+/** Batch `index` as the generator writes it: every table's IDs. */
+std::vector<uint64_t>
+batchIds(const TraceGenerator &gen, uint64_t index)
+{
+    std::vector<uint64_t> ids(gen.config().idsPerBatch());
+    gen.makeBatch(index, ids);
+    return ids;
+}
+
 TEST(Trace, BatchGeometry)
 {
-    TraceGenerator gen(smallConfig());
-    const MiniBatch batch = gen.makeBatch(0);
+    const TraceDataset dataset(smallConfig(), 1);
+    const MiniBatch &batch = dataset.batch(0);
     EXPECT_EQ(batch.numTables(), 3u);
     EXPECT_EQ(batch.batch_size, 16u);
     EXPECT_EQ(batch.lookups_per_table, 4u);
-    for (const auto &ids : batch.table_ids)
-        EXPECT_EQ(ids.size(), 64u); // 16 * 4
+    for (size_t t = 0; t < batch.numTables(); ++t)
+        EXPECT_EQ(batch.ids(t).size(), 64u); // 16 * 4
 }
 
 TEST(Trace, IdsWithinTableRange)
 {
     TraceGenerator gen(smallConfig());
-    for (uint64_t b = 0; b < 10; ++b) {
-        const MiniBatch batch = gen.makeBatch(b);
-        for (const auto &ids : batch.table_ids)
-            for (uint32_t id : ids)
-                EXPECT_LT(id, 1000u);
-    }
+    for (uint64_t b = 0; b < 10; ++b)
+        for (const uint64_t id : batchIds(gen, b))
+            EXPECT_LT(id, 1000u);
 }
 
 TEST(Trace, DeterministicPerIndex)
 {
     TraceGenerator a(smallConfig()), b(smallConfig());
     // Generate out of order: batch 5 must not depend on history.
-    const MiniBatch b5_first = a.makeBatch(5);
-    a.makeBatch(0);
-    const MiniBatch b5_again = a.makeBatch(5);
-    const MiniBatch b5_other = b.makeBatch(5);
-    EXPECT_EQ(b5_first.table_ids, b5_again.table_ids);
-    EXPECT_EQ(b5_first.table_ids, b5_other.table_ids);
+    const std::vector<uint64_t> b5_first = batchIds(a, 5);
+    batchIds(a, 0);
+    EXPECT_EQ(b5_first, batchIds(a, 5));
+    EXPECT_EQ(b5_first, batchIds(b, 5));
 }
 
 TEST(Trace, DifferentBatchesDiffer)
 {
     TraceGenerator gen(smallConfig());
-    EXPECT_NE(gen.makeBatch(0).table_ids, gen.makeBatch(1).table_ids);
+    EXPECT_NE(batchIds(gen, 0), batchIds(gen, 1));
 }
 
 TEST(Trace, DifferentSeedsDiffer)
@@ -70,14 +77,21 @@ TEST(Trace, DifferentSeedsDiffer)
     TraceConfig other = smallConfig();
     other.seed = 12;
     TraceGenerator a(smallConfig()), b(other);
-    EXPECT_NE(a.makeBatch(0).table_ids, b.makeBatch(0).table_ids);
+    EXPECT_NE(batchIds(a, 0), batchIds(b, 0));
 }
 
 TEST(Trace, TablesHaveIndependentStreams)
 {
+    const TraceDataset dataset(smallConfig(), 1);
+    const MiniBatch &batch = dataset.batch(0);
+    EXPECT_FALSE(std::ranges::equal(batch.ids(0), batch.ids(1)));
+}
+
+TEST(Trace, MakeBatchRejectsWrongSpanSize)
+{
     TraceGenerator gen(smallConfig());
-    const MiniBatch batch = gen.makeBatch(0);
-    EXPECT_NE(batch.table_ids[0], batch.table_ids[1]);
+    std::vector<uint64_t> short_buffer(gen.config().idsPerBatch() - 1);
+    EXPECT_THROW(gen.makeBatch(0, short_buffer), PanicError);
 }
 
 TEST(Trace, PerTableExponentOverride)

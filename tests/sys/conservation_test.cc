@@ -85,7 +85,7 @@ TEST(Conservation, UntouchedRowsNeverChange)
     for (uint64_t b = 0; b < 15; ++b) {
         const auto &batch = dataset.batch(b);
         for (size_t t = 0; t < batch.numTables(); ++t)
-            for (uint32_t id : batch.table_ids[t])
+            for (uint64_t id : batch.ids(t))
                 touched[t][id] = true;
     }
 
@@ -123,7 +123,7 @@ TEST(Conservation, TouchedRowsDoChange)
     const auto &batch = dataset.batch(0);
     size_t changed = 0, checked = 0;
     for (size_t t = 0; t < model.trace.num_tables; ++t) {
-        for (uint32_t id : emb::uniqueIds(batch.table_ids[t])) {
+        for (uint64_t id : emb::uniqueIds(batch.ids(t))) {
             ++checked;
             if (!tensor::Matrix::identical(
                     [&] {
